@@ -315,9 +315,18 @@ def _run_check(
 
 
 def _as_policy(mdp, policy):
-    """Normalize the policy input; validates plain assignments."""
+    """Normalize the policy input; validates plain assignments.
+
+    A deterministic policy solved on a lowered model (the sparse tier's
+    :class:`~repro.ctmdp.sparse.SparseCTMDP`, which has no per-pair
+    dict view for the independent checks) is rebound to *mdp* through
+    its assignment table -- the path a serve artifact's table takes.
+    """
+    from repro.ctmdp.model import CTMDP
     from repro.ctmdp.policy import Policy, RandomizedPolicy
 
+    if isinstance(policy, Policy) and not isinstance(policy.mdp, CTMDP):
+        return Policy(mdp, policy.as_dict())
     if isinstance(policy, (Policy, RandomizedPolicy)):
         return policy
     return Policy(mdp, dict(policy))

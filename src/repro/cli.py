@@ -70,6 +70,7 @@ EXIT_CODES = (
     (errors.NotIrreducibleError, 3),
     (errors.InvalidModelError, 3),
     (errors.InvalidPolicyError, 3),
+    (errors.InputFileError, 3),
     (errors.ReproError, 9),
 )
 

@@ -31,13 +31,18 @@ scanning actions in insertion order with the incumbent skipped.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.ctmdp.model import CTMDP
-from repro.errors import InvalidPolicyError
+from repro.errors import InvalidModelError, InvalidPolicyError
 from repro.markov.generator import canonical_shift
+
+
+def action_counts(actions: Sequence[Sequence[Hashable]]) -> np.ndarray:
+    """``(n,)`` number of actions of each state."""
+    return np.fromiter(map(len, actions), dtype=np.intp, count=len(actions))
 
 
 class PairIndexedCTMDP:
@@ -51,10 +56,9 @@ class PairIndexedCTMDP:
     reference ``atol`` incumbent rule and strict first-wins greedy
     argmin identically.
 
-    Subclasses populate ``states``, ``actions``, ``pair_state``,
-    ``pair_col``, ``pair_offset``, ``cost``, ``extra``, ``rate_scale``
-    and their generator representation, then call
-    :meth:`_init_pair_grid`.
+    Subclasses set ``states`` and ``n_states``, call :meth:`_init_pairs`
+    with the per-state action tuples, and populate ``cost``, ``extra``,
+    ``rate_scale`` and their generator representation.
     """
 
     states: Tuple[Hashable, ...]
@@ -62,12 +66,23 @@ class PairIndexedCTMDP:
     n_states: int
     n_pairs: int
 
-    def _init_pair_grid(self) -> None:
-        """Derive the padded action grid from the primary pair arrays."""
+    def _init_pairs(self, actions: Sequence[Sequence[Hashable]]) -> None:
+        """Derive the pair index and the padded action grid, vectorized,
+        from per-state action tuples (insertion order)."""
+        self.actions = tuple(map(tuple, actions))
         n = self.n_states
-        self.max_actions = (
-            int(np.max(np.diff(self.pair_offset))) if n else 0
+        if len(self.actions) != n:
+            raise InvalidModelError(
+                f"{len(self.actions)} action tuples for {n} states"
+            )
+        counts = action_counts(self.actions)
+        self.n_pairs = int(counts.sum())
+        self.pair_state = np.repeat(np.arange(n, dtype=np.intp), counts)
+        self.pair_offset = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        self.pair_col = np.arange(self.n_pairs, dtype=np.intp) - np.repeat(
+            self.pair_offset[:-1], counts
         )
+        self.max_actions = int(counts.max()) if n else 0
         # Dense (n, max_actions) pair-index grid, -1 where a state has
         # fewer actions; used to scatter per-pair values into a padded
         # matrix for column-wise argmin sweeps.
@@ -76,28 +91,31 @@ class PairIndexedCTMDP:
         self.pad_index = pad
         self._dense_slot = self.pair_state * self.max_actions + self.pair_col
         self._state_range = np.arange(n)
-        self.pad_index.setflags(write=False)
+        for array in (self.pair_state, self.pair_offset, self.pair_col, pad):
+            array.setflags(write=False)
 
     # -- indexing ------------------------------------------------------------
 
-    def pair(self, state_index: int, action: Hashable) -> int:
-        """Row of a ``(state index, action)`` pair in the stacked arrays."""
-        try:
-            return self._pair_index[(state_index, action)]
-        except KeyError:
-            raise InvalidPolicyError(
-                f"action {action!r} not available in state index {state_index}"
-            ) from None
-
     def policy_rows(self, assignment: Mapping[Hashable, Hashable]) -> np.ndarray:
-        """Pair rows selected by a ``state -> action`` assignment."""
-        return np.asarray(
-            [
-                self.pair(i, assignment[state])
-                for i, state in enumerate(self.states)
-            ],
-            dtype=np.intp,
-        )
+        """Pair rows selected by a ``state -> action`` assignment.
+
+        An assignment keyed by this model's states in state order (what
+        :meth:`assignment_from_rows` and ``Policy.as_dict`` return) is
+        read positionally, without hashing every state.
+        """
+        if len(assignment) == self.n_states and tuple(assignment) == self.states:
+            chosen = list(assignment.values())
+        else:
+            chosen = [assignment[state] for state in self.states]
+        cols = []
+        for i, (acts, action) in enumerate(zip(self.actions, chosen)):
+            try:
+                cols.append(acts.index(action))
+            except ValueError:
+                raise InvalidPolicyError(
+                    f"action {action!r} not available in state index {i}"
+                ) from None
+        return self.pair_offset[:-1] + np.asarray(cols, dtype=np.intp)
 
     def assignment_from_rows(self, sel: np.ndarray) -> "Dict[Hashable, Hashable]":
         """The ``state -> action`` mapping of a pair-row selection."""
@@ -202,33 +220,20 @@ class CompiledCTMDP(PairIndexedCTMDP):
         self.states: Tuple[Hashable, ...] = mdp.states
         self.n_states = n
         actions: List[Tuple[Hashable, ...]] = []
-        pair_state: List[int] = []
-        pair_col: List[int] = []
-        offsets = [0]
-        pair_index: Dict[Tuple[int, Hashable], int] = {}
         rows: List[np.ndarray] = []
         costs: List[float] = []
         extra_names: set = set()
-        for i, state in enumerate(mdp.states):
+        for state in mdp.states:
             state_actions = tuple(mdp.actions(state))
             actions.append(state_actions)
-            for col, action in enumerate(state_actions):
-                pair_index[(i, action)] = len(rows)
-                pair_state.append(i)
-                pair_col.append(col)
+            for action in state_actions:
                 rows.append(mdp.generator_row(state, action))
                 data = mdp.data(state, action)
                 costs.append(data.effective_cost_rate())
                 extra_names.update(data.extra_costs)
-            offsets.append(len(rows))
-        self.actions: Tuple[Tuple[Hashable, ...], ...] = tuple(actions)
-        self.n_pairs = len(rows)
-        self.pair_state = np.asarray(pair_state, dtype=np.intp)
-        self.pair_col = np.asarray(pair_col, dtype=np.intp)
-        self.pair_offset = np.asarray(offsets, dtype=np.intp)
+        self._init_pairs(actions)
         self.generator = np.vstack(rows) if rows else np.zeros((0, n))
         self.cost = np.asarray(costs, dtype=float)
-        self._pair_index = pair_index
         self.extra: Dict[str, np.ndarray] = {}
         for name in sorted(extra_names, key=repr):
             channel = np.zeros(self.n_pairs)
@@ -239,10 +244,8 @@ class CompiledCTMDP(PairIndexedCTMDP):
         self.rate_scale = float(getattr(mdp, "rate_scale", 1.0))
         self._canonical = None
         self._sparse = None
-        for array in (self.generator, self.cost, self.pair_state,
-                      self.pair_col, self.pair_offset):
-            array.setflags(write=False)
-        self._init_pair_grid()
+        self.generator.setflags(write=False)
+        self.cost.setflags(write=False)
 
     # -- policy evaluation ---------------------------------------------------
 

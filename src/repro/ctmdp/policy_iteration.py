@@ -20,6 +20,8 @@ paper highlights.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
@@ -85,10 +87,25 @@ def _default_initial_policy(mdp: CTMDP) -> Policy:
     return Policy(mdp, {s: mdp.actions(s)[0] for s in mdp.states})
 
 
-def _policy_payload(assignment, limit: int = 200) -> "List[List[str]]":
+#: Number of ``[state, action]`` rows a diagnostic policy payload keeps.
+POLICY_PAYLOAD_ROWS = 200
+
+
+def _policy_payload(assignment) -> "List[List[str]]":
     """A JSON-serializable rendering of a policy for diagnostics."""
-    pairs = [[repr(s), repr(a)] for s, a in assignment.items()]
-    return pairs[:limit]
+    rows = itertools.islice(assignment.items(), POLICY_PAYLOAD_ROWS)
+    return [[repr(s), repr(a)] for s, a in rows]
+
+
+def _rows_payload(comp, sel: np.ndarray) -> "List[List[str]]":
+    """:func:`_policy_payload` of a pair-row selection, rendering only
+    the rows it keeps (no full ``state -> action`` dict)."""
+    keep = min(POLICY_PAYLOAD_ROWS, comp.n_states)
+    cols = comp.pair_col[sel[:keep]].tolist()
+    return [
+        [repr(comp.states[i]), repr(comp.actions[i][col])]
+        for i, col in enumerate(cols)
+    ]
 
 
 def _check_budget(
@@ -129,6 +146,13 @@ class _CycleDetector:
 
     def check(self, key, iteration: int, gain_history: "List[float]",
               policy_payload) -> None:
+        """Record *key*; on a revisit raise with the diagnostics payload.
+
+        *policy_payload* is the offending policy's rendering, or a
+        zero-argument callable producing it; a callable runs only when a
+        cycle is detected, so the common (non-cycling) round pays
+        nothing for the rendering.
+        """
         first = self._seen.setdefault(key, iteration)
         if first != iteration:
             raise SolverError(
@@ -140,7 +164,10 @@ class _CycleDetector:
                     "first_seen": first,
                     "cycle_length": iteration - first,
                     "gain_history": gain_history[-10:],
-                    "policy": policy_payload,
+                    "policy": (
+                        policy_payload()
+                        if callable(policy_payload) else policy_payload
+                    ),
                 },
             )
 
@@ -327,7 +354,7 @@ def _policy_iteration_compiled(
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    _policy_payload(comp.assignment_from_rows(sel)),
+                    functools.partial(_rows_payload, comp, sel),
                 )
                 gain, bias = solve_rows(sel)
             # An unchanged policy selects the same rows, so re-solving would
@@ -372,7 +399,7 @@ def _policy_iteration_compiled(
             "reason": "max_iterations_exhausted",
             "iteration": max_iterations,
             "gain_history": gain_history[-10:],
-            "policy": _policy_payload(comp.assignment_from_rows(sel)),
+            "policy": _rows_payload(comp, sel),
         },
     )
 
@@ -507,7 +534,7 @@ def _policy_iteration_sparse(
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    _policy_payload(comp.assignment_from_rows(sel)),
+                    functools.partial(_rows_payload, comp, sel),
                 )
                 if reuse_cache is not None:
                     gain, bias = solve_rows_reused(sel)
@@ -565,7 +592,7 @@ def _policy_iteration_sparse(
             "reason": "max_iterations_exhausted",
             "iteration": max_iterations,
             "gain_history": gain_history[-10:],
-            "policy": _policy_payload(comp.assignment_from_rows(sel)),
+            "policy": _rows_payload(comp, sel),
         },
     )
 
@@ -693,7 +720,8 @@ def policy_iteration(
             if changed:
                 cycles.check(
                     tuple(sorted(policy.as_dict().items(), key=repr)),
-                    iteration, gain_history, _policy_payload(policy.as_dict()),
+                    iteration, gain_history,
+                    functools.partial(_policy_payload, policy.as_dict()),
                 )
             evaluation = evaluate_policy(
                 policy, reference_state=reference_state, backend="reference",

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
-from repro.ctmdp.compiled import PairIndexedCTMDP
+from repro.ctmdp.compiled import PairIndexedCTMDP, action_counts
 from repro.ctmdp.model import CTMDP
 from repro.errors import InvalidModelError, NotIrreducibleError, SolverError
 from repro.markov.generator import DEFAULT_ATOL, canonical_shift
@@ -433,27 +433,7 @@ class SparseCTMDP(PairIndexedCTMDP):
     ) -> None:
         self.states = tuple(states)
         self.n_states = len(self.states)
-        self.actions = tuple(tuple(a) for a in actions)
-        if len(self.actions) != self.n_states:
-            raise InvalidModelError(
-                f"{len(self.actions)} action tuples for {self.n_states} states"
-            )
-        counts = np.array([len(a) for a in self.actions], dtype=np.intp)
-        self.n_pairs = int(counts.sum())
-        self.pair_state = np.repeat(
-            np.arange(self.n_states, dtype=np.intp), counts
-        )
-        self.pair_col = np.concatenate(
-            [np.arange(c, dtype=np.intp) for c in counts]
-        ) if self.n_pairs else np.zeros(0, dtype=np.intp)
-        self.pair_offset = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.intp)
-        self._pair_index = {
-            (int(i), action): int(self.pair_offset[i] + col)
-            for i in range(self.n_states)
-            for col, action in enumerate(self.actions[i])
-        }
+        self._init_pairs(actions)
         self.generator = sp.csr_array(generator, dtype=float)
         if self.generator.shape != (self.n_pairs, self.n_states):
             raise InvalidModelError(
@@ -485,10 +465,7 @@ class SparseCTMDP(PairIndexedCTMDP):
         self._exit_rates.setflags(write=False)
         self._canonical = None
         self._entries = None
-        for array in (self.cost, self.pair_state, self.pair_col,
-                      self.pair_offset):
-            array.setflags(write=False)
-        self._init_pair_grid()
+        self.cost.setflags(write=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -564,7 +541,7 @@ class SparseCTMDP(PairIndexedCTMDP):
         pair_rows = np.asarray(pair_rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         rates = np.asarray(rates, dtype=float)
-        counts = np.array([len(a) for a in actions], dtype=np.intp)
+        counts = action_counts(actions)
         n_pairs = int(counts.sum())
         n = len(states)
         pair_state = np.repeat(np.arange(n, dtype=np.intp), counts)

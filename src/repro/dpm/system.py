@@ -49,17 +49,39 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.ctmdp.model import CTMDP
 from repro.dpm import cost as cost_channels
-from repro.dpm.cost import CostRates
 from repro.dpm.service_provider import ServiceProvider
 from repro.dpm.service_queue import QueueState, stable, transfer
 from repro.dpm.service_requestor import ServiceRequestor
 from repro.errors import InvalidModelError
+
+
+class _Assembly(NamedTuple):
+    """Array form of the weight-independent SYS structure.
+
+    Per pair: ``pair_state``, ``pair_action`` (provider mode index),
+    ``base_power`` (``pow(s)``), ``delay`` (``C_sq``) and the ``extra``
+    cost channels. Per off-diagonal entry, in (pair, destination)
+    order: ``rows``, ``cols``, unscaled ``rates``, and the ``impulse``
+    flag of switch entries, whose energies ``energy`` lists in order.
+    """
+
+    actions: "List[Tuple[str, ...]]"
+    pair_state: np.ndarray
+    pair_action: np.ndarray
+    base_power: np.ndarray
+    delay: np.ndarray
+    extra: "Dict[str, np.ndarray]"
+    rows: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
+    impulse: np.ndarray
+    energy: np.ndarray
 
 
 @dataclass(frozen=True, order=True)
@@ -143,7 +165,7 @@ class PowerManagedSystemModel:
         # Weight-independent (state, action) structure -- transition-rate
         # and impulse vectors plus cost channels -- computed lazily once;
         # only the weighted cost rate differs between built CTMDPs.
-        self._structure: "List[tuple] | None" = None
+        self._structure: "Tuple[_Assembly, np.ndarray, np.ndarray] | None" = None
         # Weight-independent sparse skeleton: a structural SparseCTMDP
         # (CSR pattern, rates, extra channels) plus the per-pair cost
         # decomposition; per-weight builds overlay costs onto it.
@@ -152,7 +174,7 @@ class PowerManagedSystemModel:
         # dense and a sparse build of the same weight coexist. Each
         # cached model carries its own lowering, so workflows that
         # re-solve the same weight (frontier bisection, constrained
-        # search) skip both the Python construction and the lowering.
+        # search) skip both the construction and the lowering.
         self._ctmdp_cache: "OrderedDict[Tuple[float, str], CTMDP]" = (
             OrderedDict()
         )
@@ -160,16 +182,15 @@ class PowerManagedSystemModel:
     # -- state space -----------------------------------------------------------
 
     def _enumerate_states(self) -> "List[SystemState]":
-        states = [
-            SystemState(mode, stable(i))
-            for mode in self.provider.modes
-            for i in range(self.capacity + 1)
-        ]
+        # Queue states are immutable, so every mode shares one instance.
+        stables = [stable(i) for i in range(self.capacity + 1)]
+        states = [SystemState(mode, q) for mode in self.provider.modes for q in stables]
         if self.include_transfer_states:
+            transfers = [transfer(i) for i in range(1, self.capacity + 1)]
             states.extend(
-                SystemState(mode, transfer(i))
+                SystemState(mode, q)
                 for mode in self.provider.active_modes
-                for i in range(1, self.capacity + 1)
+                for q in transfers
             )
         return states
 
@@ -295,36 +316,117 @@ class PowerManagedSystemModel:
 
     # -- CTMDP construction ------------------------------------------------------
 
-    def _build_structure(self) -> "List[tuple]":
-        """The weight-independent per-(state, action) construction data.
+    def _assemble(self) -> _Assembly:
+        """Array assembly of the weight-independent SYS structure.
 
-        Rate and impulse vectors are write-protected: they are shared by
-        every CTMDP this model builds (``CTMDP.add_action`` stores them
-        by reference), and ``generator_row`` copies before completing
-        diagonals, so sharing is safe as long as nobody mutates them.
+        States are (mode index, queue kind, queue index) arrays in
+        :meth:`_enumerate_states` order; the ``(n, S)`` validity mask is
+        broadcast from per-class verdicts; each transition family of the
+        module docstring is one vectorized COO block, and one sort by
+        (pair, destination) yields every array exactly as a per-pair
+        rebuild from :meth:`valid_actions` and :meth:`transition_rates`
+        would (``tests/dpm/test_system_assembly.py`` asserts it).
+
+        Validity contract: :meth:`is_valid_action` is evaluated once per
+        class -- (mode, queue kind, queue at capacity) -- on the class's
+        first state, and the verdict holds for the whole class. The
+        Section-III constraints depend on nothing else; a subclass
+        overriding :meth:`is_valid_action` (the fuzzer's unconstrained
+        models) must keep that contract.
         """
-        structure: List[tuple] = []
-        n = self.n_states
-        for state in self._states:
-            for action in self.valid_actions(state):
-                rates = np.zeros(n)
-                impulses = np.zeros(n)
-                for dest, rate in self.transition_rates(state, action).items():
-                    j = self._index[dest]
-                    rates[j] += rate
-                    if dest.mode != state.mode:
-                        impulses[j] = self.provider.switching_energy(
-                            state.mode, dest.mode
-                        )
-                costs = CostRates(
-                    power=self.effective_power_rate(state, action),
-                    queue_length=self.delay_cost(state),
-                    loss=self.loss_rate(state),
-                )
-                rates.setflags(write=False)
-                impulses.setflags(write=False)
-                structure.append((state, action, rates, impulses, costs))
-        return structure
+        sp = self.provider
+        modes = sp.modes
+        cap = self.capacity
+        lam = float(self.requestor.rate)
+        mu = np.array([sp.service_rate(m) for m in modes])
+        # chi carries the self-switch stand-in on its diagonal.
+        chi = np.array([[sp.switching_rate(s, a) for a in modes] for s in modes])
+        ene = np.array([[sp.switching_energy(s, a) for a in modes] for s in modes])
+        active = np.flatnonzero(mu > 0.0)
+        n_stable = len(modes) * (cap + 1)
+        mode = np.repeat(np.arange(len(modes)), cap + 1)
+        index = np.tile(np.arange(cap + 1), len(modes))
+        if self.include_transfer_states:
+            mode = np.concatenate([mode, np.repeat(active, cap)])
+            index = np.concatenate([index, np.tile(np.arange(1, cap + 1), len(active))])
+        transfer = np.arange(len(mode)) >= n_stable
+        # First transfer state of each active mode.
+        transfer_base = np.zeros(len(modes), dtype=np.intp)
+        transfer_base[active] = n_stable + cap * np.arange(len(active))
+
+        _, first, klass = np.unique(
+            (mode * 2 + transfer) * 2 + (index == cap),
+            return_index=True, return_inverse=True,
+        )
+        valid = np.array([
+            [self.is_valid_action(self._states[r], a) for a in modes]
+            for r in first.tolist()
+        ])
+        has_action = valid.any(axis=1)
+        if not has_action.all():  # pragma: no cover - active modes always remain
+            empty = first[np.argmin(has_action)]
+            raise InvalidModelError(
+                f"state {self._states[empty]!r} has no valid action"
+            )
+        class_actions = [
+            tuple(m for m, ok in zip(modes, row) if ok) for row in valid
+        ]
+        pair_state, act = np.nonzero(valid[klass])
+        s, i, t = mode[pair_state], index[pair_state], transfer[pair_state]
+        switching = s != act
+
+        # Transition families: (where, destination, rate, switch impulse).
+        families = (
+            (~t & (i < cap), pair_state + 1, lam, False),  # arrival
+            (~t & switching, act * (cap + 1) + i, chi[s, act], True),  # mode switch
+            (~t & (mu[s] > 0.0) & (i >= 1),  # service completion
+             transfer_base[s] + i - 1 if self.include_transfer_states
+             else pair_state - 1, mu[s], False),
+            (t, act * (cap + 1) + i - 1, chi[s, act], switching),  # switch completion
+            (t & (i < cap), pair_state + 1, lam, False),  # arrival in transfer
+        )
+        pairs = np.arange(len(pair_state))
+        blocks = [
+            [np.broadcast_to(x, pairs.shape)[where] for x in (pairs, dest, rate, imp)]
+            for where, dest, rate, imp in families
+        ]
+        rows, cols, rates, impulse = map(np.concatenate, zip(*blocks))
+        order = np.lexsort((cols, rows))
+        order = order[rates[order] > 0.0]
+        rows, cols, rates, impulse = (x[order] for x in (rows, cols, rates, impulse))
+
+        power = np.array([sp.power_rate(m) for m in modes])[s]
+        delay = np.where(t, i - 1, i).astype(float)
+        extra = {
+            self.POWER: np.where(
+                t | switching, power + chi[s, act] * ene[s, act], power
+            ),
+            self.QUEUE_LENGTH: delay,
+            self.LOSS: np.where(i == cap, lam, 0.0),
+        }
+        return _Assembly(
+            [class_actions[c] for c in klass.tolist()], pair_state, act,
+            power, delay, extra, rows, cols, rates, impulse,
+            ene[s[rows[impulse]], act[rows[impulse]]],
+        )
+
+    def _build_structure(self) -> "Tuple[_Assembly, np.ndarray, np.ndarray]":
+        """The dense tier's weight-independent build data:
+        :meth:`_assemble`'s arrays plus ``(pairs, n)`` transition-rate
+        and switching-energy impulse blocks scattered from them. The
+        blocks are write-protected: every dense CTMDP this model builds
+        shares their rows (``CTMDP.add_action`` stores them by
+        reference; ``generator_row`` copies before completing
+        diagonals).
+        """
+        asm = self._assemble()
+        rates = np.zeros((len(asm.pair_state), self.n_states))
+        impulses = np.zeros_like(rates)
+        rates[asm.rows, asm.cols] = asm.rates
+        impulses[asm.rows[asm.impulse], asm.cols[asm.impulse]] = asm.energy
+        rates.setflags(write=False)
+        impulses.setflags(write=False)
+        return asm, rates, impulses
 
     def _sparse_skeleton_parts(self) -> tuple:
         """The weight-independent half of the sparse build, cached.
@@ -339,77 +441,31 @@ class PowerManagedSystemModel:
         ``(term_pairs, term_vals)`` the folded switching-energy terms
         ``scaled_rate * ene`` in destination-index order.
         """
-        if self._sparse_skeleton is not None:
-            from repro.obs.runtime import active as obs_active
+        from repro.obs.runtime import active as obs_active
 
-            ins = obs_active()
-            if ins.enabled and ins.metrics is not None:
+        ins = obs_active()
+        counting = ins.enabled and ins.metrics is not None
+        if self._sparse_skeleton is not None:
+            if counting:
                 ins.metrics.counter("solver.reuse.skeleton_hits").inc()
             return self._sparse_skeleton
         from repro.ctmdp.sparse import SparseCTMDP
-        from repro.obs.runtime import active as obs_active
 
         scale = self.rate_scale
-        states = self._states
-        actions: "List[tuple]" = []
-        pair_rows: "List[int]" = []
-        cols: "List[int]" = []
-        vals: "List[float]" = []
-        base_power: "List[float]" = []
-        delay: "List[float]" = []
-        term_pairs: "List[int]" = []
-        term_vals: "List[float]" = []
-        extra: "Dict[str, List[float]]" = {
-            "power": [], "queue_length": [], "loss": [],
-        }
-        pair = 0
-        for state in states:
-            acts = tuple(self.valid_actions(state))
-            actions.append(acts)
-            for action in acts:
-                base_power.append(
-                    scale * self.provider.power_rate(state.mode)
-                )
-                delay.append(self.delay_cost(state))
-                entries = sorted(
-                    (self._index[dest], dest, rate)
-                    for dest, rate in self.transition_rates(state, action).items()
-                )
-                for j, dest, rate in entries:
-                    scaled = rate * scale if scale != 1.0 else rate
-                    pair_rows.append(pair)
-                    cols.append(j)
-                    vals.append(scaled)
-                    if dest.mode != state.mode:
-                        term_pairs.append(pair)
-                        term_vals.append(
-                            scaled * self.provider.switching_energy(
-                                state.mode, dest.mode
-                            )
-                        )
-                extra["power"].append(self.effective_power_rate(state, action))
-                extra["queue_length"].append(self.delay_cost(state))
-                extra["loss"].append(self.loss_rate(state))
-                pair += 1
+        asm = self._assemble()
+        rates = asm.rates * scale if scale != 1.0 else asm.rates
         skeleton = SparseCTMDP.from_coo(
-            states,
-            actions,
-            np.asarray(pair_rows, dtype=np.intp),
-            np.asarray(cols, dtype=np.intp),
-            np.asarray(vals, dtype=float),
-            np.zeros(pair),
-            rate_scale=scale,
-            extra={name: np.asarray(ch) for name, ch in extra.items()},
+            self._states, asm.actions, asm.rows, asm.cols, rates,
+            np.zeros(len(asm.pair_state)), rate_scale=scale, extra=asm.extra,
         )
         self._sparse_skeleton = (
             skeleton,
-            np.asarray(base_power),
-            np.asarray(delay),
-            np.asarray(term_pairs, dtype=np.intp),
-            np.asarray(term_vals),
+            scale * asm.base_power,
+            asm.delay,
+            asm.rows[asm.impulse],
+            rates[asm.impulse] * asm.energy,
         )
-        ins = obs_active()
-        if ins.enabled and ins.metrics is not None:
+        if counting:
             ins.metrics.counter("solver.reuse.skeleton_builds").inc()
         return self._sparse_skeleton
 
@@ -421,7 +477,7 @@ class PowerManagedSystemModel:
         Split into the cached weight-independent skeleton
         (:meth:`_sparse_skeleton_parts`) plus a per-weight cost overlay:
         sibling models share every structural array, so a frontier sweep
-        pays the Python construction loop once and each additional
+        pays the array assembly once and each additional
         weight costs two O(pairs) vector ops.
 
         Numerically this mirrors :meth:`build_ctmdp`'s dense path entry
@@ -462,8 +518,8 @@ class PowerManagedSystemModel:
         model instance -- treat it as immutable, which
         :meth:`CTMDP.add_action` enforces for existing pairs anyway. The
         weight-independent transition structure is additionally shared
-        across dense builds, so a frontier sweep pays the Python
-        construction loop once.
+        across dense builds, so a frontier sweep pays the array
+        assembly once.
         """
         if not np.isfinite(weight):
             raise InvalidModelError(f"performance weight must be finite, got {weight}")
@@ -501,6 +557,7 @@ class PowerManagedSystemModel:
             return smdp
         if self._structure is None:
             self._structure = self._build_structure()
+        asm, rates, impulses = self._structure
         scale = self.rate_scale
         # Time rescaling: rates and cost *rates* get the factor; the
         # folded cost scale * power + (scale * weight) * queue equals
@@ -508,21 +565,27 @@ class PowerManagedSystemModel:
         # is a power of two. Impulse energies are pure costs (their
         # contribution scales through the rate vector they multiply),
         # and the extra channels stay in original observable units.
-        # The scale == 1.0 path multiplies by exactly 1.0 but keeps
-        # the shared unscaled vectors to avoid per-build copies.
+        # The scale == 1.0 path keeps the shared unscaled rate rows.
+        if scale != 1.0:
+            rates = rates * scale
+            rates.setflags(write=False)
+        cost = scale * asm.base_power + (scale * weight) * asm.delay
+        extra = [
+            dict(zip(asm.extra, values))
+            for values in zip(*(ch.tolist() for ch in asm.extra.values()))
+        ]
         mdp = CTMDP(self._states, rate_scale=scale)
-        for state, action, rates, impulses, costs in self._structure:
-            if scale != 1.0:
-                rates = rates * scale
-                rates.setflags(write=False)
+        modes = self.provider.modes
+        for p, (x, a) in enumerate(
+            zip(asm.pair_state.tolist(), asm.pair_action.tolist())
+        ):
             mdp.add_action(
-                state,
-                action,
-                rates=rates,
-                cost_rate=scale * self.provider.power_rate(state.mode)
-                + (scale * weight) * costs.queue_length,
-                impulse_costs=impulses,
-                extra_costs=costs.as_extra_costs(),
+                self._states[x],
+                modes[a],
+                rates=rates[p],
+                cost_rate=cost[p],
+                impulse_costs=impulses[p],
+                extra_costs=extra[p],
             )
         mdp.validate()
         self._ctmdp_cache[key] = mdp

@@ -165,6 +165,13 @@ class TraceIntegrityError(SimulationError):
     the CLI's simulation exit code."""
 
 
+class InputFileError(ReproError):
+    """A file named on the command line is missing, unreadable, or not
+    a document of the expected kind (e.g. ``repro-dpm profile`` given a
+    path that does not exist or does not hold profile JSON). The
+    message names the offending path."""
+
+
 class CertificationError(ReproError):
     """The certification engine could not run: inconsistent inputs
     (a constrained solve without its bounds, a model/artifact

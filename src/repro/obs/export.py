@@ -60,13 +60,16 @@ def run_manifest(
     seed: "Optional[int]" = None,
     **extra: Any,
 ) -> "Dict[str, Any]":
-    """Provenance for one run: git sha, args, seed, versions, platform."""
+    """Provenance for one run: git sha, args, seed, versions, platform
+    and CPU count (timings from hosts with different core counts are
+    not comparable)."""
     manifest: Dict[str, Any] = {
         "git_sha": _git_sha(),
         "argv": list(argv) if argv is not None else list(sys.argv),
         "seed": seed,
         "versions": _package_versions(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
     manifest.update(extra)
     return manifest

@@ -37,6 +37,7 @@ import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import InputFileError
 from repro.obs.trace import SpanRecord, Tracer
 
 #: Schema tag stamped on exported profile documents.
@@ -296,10 +297,23 @@ def read_profile(path) -> "Dict[str, Any]":
     """Load a profile JSON document (``{"manifest":..., "profile":...}``).
 
     Accepts both the export envelope and a bare profile document, so
-    hand-saved ``to_profile()`` output renders too.
+    hand-saved ``to_profile()`` output renders too. A missing,
+    unreadable or non-JSON-object file raises
+    :class:`~repro.errors.InputFileError`.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputFileError(
+            f"cannot read profile {path}: {exc.strerror or exc}"
+        ) from exc
+    except ValueError as exc:
+        raise InputFileError(f"profile {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputFileError(
+            f"profile {path} must be a JSON object, got {type(doc).__name__}"
+        )
     if "profile" in doc and "tree" not in doc:
         return doc["profile"]
     return doc

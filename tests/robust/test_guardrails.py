@@ -187,6 +187,39 @@ class TestCycleDetection:
         assert diag["cycle_length"] == 2
         assert diag["policy"] == [["s", "a"]]
 
+    @pytest.mark.parametrize("backend", ["compiled", "sparse"])
+    def test_forced_cycle_renders_the_policy_payload(self, monkeypatch, backend):
+        """A cycle forced into the pair-indexed PI loops still carries the
+        offending policy, rendered as the first 200 ``[state, action]``
+        rows of its full assignment (the payload is built lazily)."""
+        from repro.ctmdp.compiled import PairIndexedCTMDP
+        from repro.dpm.presets import paper_system
+
+        mdp = paper_system(capacity=60).build_ctmdp(1.0)  # 243 states
+        visited = []
+
+        def flip(self, values, sel, atol):
+            # Toggle the first multi-action state between its first two
+            # actions: A -> B -> A revisits the initial policy.
+            i = int(np.flatnonzero(np.diff(self.pair_offset) >= 2)[0])
+            other = sel.copy()
+            first, second = self.pad_index[i, 0], self.pad_index[i, 1]
+            other[i] = second if sel[i] == first else first
+            visited.append((self, sel.copy()))
+            return other, True
+
+        monkeypatch.setattr(PairIndexedCTMDP, "improve", flip)
+        with pytest.raises(SolverError) as excinfo:
+            policy_iteration(mdp, backend=backend)
+        diag = excinfo.value.diagnostics
+        assert diag["reason"] == "policy_cycle"
+        assert (diag["iteration"], diag["first_seen"]) == (2, 0)
+        comp, initial = visited[0]
+        assignment = comp.assignment_from_rows(initial)
+        expected = [[repr(s), repr(a)] for s, a in assignment.items()][:200]
+        assert len(expected) == 200 < mdp.n_states
+        assert diag["policy"] == expected
+
     def test_healthy_solve_never_trips_the_detector(self, paper_mdp):
         # Converging PI re-selects its final policy on the last round;
         # the detector must not flag that as a cycle.

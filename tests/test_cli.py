@@ -436,6 +436,24 @@ class TestProfileFlagAndCommand:
         assert "hot phases" in out
         assert main(["profile", str(path), "--sort", "cum"]) == 0
 
+    def test_missing_profile_exits_3_without_traceback(self, tmp_path, capsys):
+        from repro.cli import exit_code_for
+        from repro.errors import InputFileError
+
+        missing = tmp_path / "missing.json"
+        assert main(["profile", str(missing)]) == 3
+        assert exit_code_for(InputFileError("x")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read profile {missing}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+    def test_non_profile_file_exits_3(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        assert main(["profile", str(path)]) == 3
+        assert f"profile {path}" in capsys.readouterr().err
+
     def test_profile_and_trace_agree(self, tmp_path, capsys):
         """Acceptance: the profile's top self-time phase is a span the
         trace recorded, and the instrumented run leaves an auditable
@@ -771,6 +789,14 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert "verdict: failed" in out
         assert "claimed-gain-mismatch" in out
+
+    def test_sparse_tier_solve_certifies(self, capsys):
+        """The 2003-state model solves on the sparse tier; its policy is
+        certified against the dict model instead of crashing the
+        Bellman check."""
+        assert main(["certify", "--capacity", "500"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: certified" in out
 
     def test_certification_error_maps_to_14(self):
         from repro import errors

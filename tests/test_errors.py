@@ -16,6 +16,7 @@ from repro.errors import (
     CheckpointError,
     DomainError,
     InfeasibleConstraintError,
+    InputFileError,
     InvalidGeneratorError,
     InvalidModelError,
     InvalidPolicyError,
@@ -49,6 +50,7 @@ ALL_PUBLIC = [
     TraceIntegrityError,
     CertificationError,
     CertificationFailedError,
+    InputFileError,
 ]
 
 
