@@ -20,8 +20,11 @@ Implements the decision-theoretic layer of the paper:
   (Theorem 2.2/2.3 context; used by the discount-sweep ablation).
 - :mod:`repro.ctmdp.uniformization` -- CTMDP -> DTMDP conversion.
 - :mod:`repro.ctmdp.compiled` -- one-shot dense lowering of a CTMDP into
-  stacked NumPy arrays (cached per model); backs the default
-  ``backend="compiled"`` fast paths of the solvers above.
+  stacked NumPy arrays (cached per model); the ``backend="compiled"``
+  tier, which ``"auto"`` picks for plain models up to
+  ``DENSE_STATE_LIMIT`` states. It also defines the solver-loop
+  protocol every lowered tier implements: PI, VI and discounted PI are
+  each one loop over it.
 - :mod:`repro.ctmdp.sparse` -- the CSR sparse lowering and its
   direct-then-Krylov evaluation ladder; the middle tier of the backend
   ladder, for models beyond a few thousand states.

@@ -34,6 +34,8 @@ ladder -- and is observable through the ``solver.reuse.*`` counters.
 
 from __future__ import annotations
 
+import time
+
 from repro.errors import SolverError
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
@@ -145,3 +147,26 @@ def resolve_backend(mdp, backend: str, who: str = "solver") -> str:
         resolved, reason = backend, "explicit request"
     _record_decision(backend, resolved, n_states, reason, who)
     return resolved
+
+
+def lower(mdp, tier: str, metrics=None):
+    """The object the shared solver loops drive on a resolved *tier*.
+
+    ``compiled`` and ``sparse`` return the model's cached dense or CSR
+    lowering (timed into ``profile.solver.lowering_s`` when *metrics* is
+    given); ``kron`` returns the Kronecker model itself. Every returned
+    object implements the solver-loop protocol documented on
+    :class:`repro.ctmdp.compiled.PairIndexedCTMDP` (DESIGN §10).
+    """
+    if tier == "kron":
+        return mdp
+    from repro.ctmdp.compiled import compile_ctmdp
+    from repro.ctmdp.sparse import compile_sparse_ctmdp
+
+    started = time.perf_counter()
+    lowered = (compile_ctmdp if tier == "compiled" else compile_sparse_ctmdp)(mdp)
+    if metrics is not None:
+        metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
+            time.perf_counter() - started
+        )
+    return lowered

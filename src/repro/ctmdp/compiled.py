@@ -36,13 +36,48 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.ctmdp.model import CTMDP
-from repro.errors import InvalidModelError, InvalidPolicyError
-from repro.markov.generator import canonical_shift
+from repro.ctmdp.policy import Policy
+from repro.errors import InvalidModelError, InvalidPolicyError, SolverError
+from repro.markov.generator import canonical_shift, stationary_distribution
+from repro.robust.guardrails import solve_with_fallback
+
+#: Number of ``[state, action]`` rows a diagnostic policy payload keeps.
+POLICY_PAYLOAD_ROWS = 200
 
 
 def action_counts(actions: Sequence[Sequence[Hashable]]) -> np.ndarray:
     """``(n,)`` number of actions of each state."""
     return np.fromiter(map(len, actions), dtype=np.intp, count=len(actions))
+
+
+def check_reference_state(reference_state: int, n_states: int) -> None:
+    """Typed error for a bias-pinning state outside ``[0, n_states)``."""
+    if not 0 <= reference_state < n_states:
+        raise InvalidPolicyError(
+            f"reference state {reference_state} out of range"
+        )
+
+
+def incumbent_argmin(
+    table: np.ndarray, incumbent: np.ndarray, atol: float
+) -> np.ndarray:
+    """The incumbent-rule argmin of every column of ``(k, n)`` *table*.
+
+    Starting from each column's incumbent row, rows are scanned in
+    order (the incumbent skipped) and one displaces the running best
+    only when it is smaller by more than ``atol``; ``+inf`` entries
+    (unavailable actions) never win. Shared by every tier's policy
+    improvement sweep.
+    """
+    best_val = table[incumbent, np.arange(table.shape[1])]
+    best = incumbent.copy()
+    for a in range(table.shape[0]):
+        row = table[a]
+        better = (row < best_val - atol) & (incumbent != a)
+        if np.any(better):
+            best_val = np.where(better, row, best_val)
+            best = np.where(better, a, best)
+    return best
 
 
 class PairIndexedCTMDP:
@@ -59,6 +94,21 @@ class PairIndexedCTMDP:
     Subclasses set ``states`` and ``n_states``, call :meth:`_init_pairs`
     with the per-state action tuples, and populate ``cost``, ``extra``,
     ``rate_scale`` and their generator representation.
+
+    **Solver-loop protocol.** Policy iteration, relative value iteration
+    and discounted policy iteration are each written once
+    (:mod:`repro.ctmdp.policy_iteration`, :mod:`~repro.ctmdp.value_iteration`,
+    :mod:`~repro.ctmdp.discounted`) and drive every lowered tier --
+    this class's two subclasses and
+    :class:`~repro.ctmdp.kron.KroneckerCTMDP` -- through:
+    ``initial_selection(policy)``; ``evaluator(reference_state, reuse)``
+    returning ``solve(sel, warm=False, cost=None) -> (gain, bias,
+    exact)``; ``improve_on(values, sel, atol, canonical=True)``;
+    ``stationary(sel)``; ``uniformized_backup(lam)`` returning ``w ->
+    (new w, greedy sel)``; ``discounted_evaluator(discount)`` returning
+    ``solve(sel, warm=False) -> values``; ``selection_policy(mdp, sel)``
+    and ``selection_payload(sel)``; plus ``max_exit_rate()``,
+    ``canonical_shift``, ``rate_scale`` and ``n_states``.
     """
 
     states: Tuple[Hashable, ...]
@@ -146,16 +196,9 @@ class PairIndexedCTMDP:
         (incumbent skipped) and one displaces the running best only when
         it is smaller by more than ``atol``.
         """
-        dense = self.scatter(pair_values)
-        inc_col = self.pair_col[sel]
-        best_val = pair_values[sel].copy()
-        best_col = inc_col.copy()
-        for a in range(self.max_actions):
-            column = dense[:, a]
-            better = (column < best_val - atol) & (inc_col != a)
-            if np.any(better):
-                best_val = np.where(better, column, best_val)
-                best_col = np.where(better, a, best_col)
+        best_col = incumbent_argmin(
+            self.scatter(pair_values).T, self.pair_col[sel], atol
+        )
         new_sel = self.pad_index[self._state_range, best_col]
         changed = bool(np.any(new_sel != sel))
         return new_sel, changed
@@ -177,6 +220,90 @@ class PairIndexedCTMDP:
                 best_val = np.where(better, column, best_val)
                 best_col = np.where(better, a, best_col)
         return best_val, best_col
+
+    # -- solver-loop protocol ------------------------------------------------
+    #
+    # The shared policy-iteration, value-iteration and discounted loops
+    # (repro.ctmdp.policy_iteration / value_iteration / discounted) drive
+    # every lowered tier through these methods; KroneckerCTMDP implements
+    # the same set over action-index selections. A *selection* here is
+    # the array of chosen pair rows, one per state.
+
+    def initial_selection(self, policy) -> np.ndarray:
+        """Pair rows of *policy*, or the first-listed action per state."""
+        if policy is None:
+            return self.pair_offset[:-1].copy()
+        return self.policy_rows(policy.as_dict())
+
+    def improve_on(
+        self, values: np.ndarray, sel: np.ndarray, atol: float,
+        canonical: bool = True,
+    ) -> "tuple[np.ndarray, bool]":
+        """:meth:`improve` on the test quantities ``c + G values``.
+
+        With ``canonical`` (policy iteration) the quantities and *atol*
+        are in canonical units (:meth:`canonical`); otherwise in stored
+        units (discounted policy iteration).
+        """
+        if canonical:
+            g, c, _ = self.canonical()
+        else:
+            g, c = self.generator, self.cost
+        test_values = g @ values
+        test_values += c
+        return self.improve(test_values, sel, atol)
+
+    def uniformized_backup(self, lam: float):
+        """``w -> (new w, greedy selection)``: one Bellman backup of the
+        chain uniformized at rate *lam* (``P = I + G/lam``, per-step cost
+        ``c/lam``), one matvec plus the first-wins :meth:`greedy`."""
+        transition = self.uniformized_transition(lam)
+        step_cost = self.cost / lam
+        first_rows = self.pair_offset[:-1]
+
+        def backup(w: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            new_w, cols = self.greedy(step_cost + transition @ w)
+            return new_w, first_rows + cols
+
+        return backup
+
+    def selection_policy(self, mdp, sel: np.ndarray) -> Policy:
+        """The :class:`Policy` over *mdp* selecting pair rows *sel*."""
+        return Policy._trusted(mdp, self.assignment_from_rows(sel))
+
+    def selection_payload(self, sel: np.ndarray) -> "List[List[str]]":
+        """The first :data:`POLICY_PAYLOAD_ROWS` ``[state, action]`` rows
+        of *sel*, rendered for diagnostics (no full assignment dict)."""
+        keep = min(POLICY_PAYLOAD_ROWS, self.n_states)
+        cols = self.pair_col[sel[:keep]].tolist()
+        return [
+            [repr(self.states[i]), repr(self.actions[i][col])]
+            for i, col in enumerate(cols)
+        ]
+
+    def _selected_cost(self, sel: np.ndarray, cost, shift: int) -> np.ndarray:
+        """Canonical cost rates of *sel*, or of a per-state override."""
+        if cost is None:
+            cost = self.cost[sel]
+        else:
+            cost = np.asarray(cost, dtype=float)
+            if cost.shape != (self.n_states,):
+                raise InvalidPolicyError(
+                    f"cost vector shape {cost.shape} != ({self.n_states},)"
+                )
+        return np.ldexp(cost, -shift)
+
+    def _row_inf(self, shift: int) -> np.ndarray:
+        """Per-pair ``max |a_ij|`` of the canonical generator (cached).
+
+        ``max |a_ij|`` of any bordered evaluation system is the selected
+        rows' maximum or the unit border entries, so the guardrail
+        acceptance scale of a solve costs O(n) instead of an O(nnz) scan.
+        Computed from the stored generator and shifted, which is exact.
+        """
+        if self._row_inf_cache is None:
+            self._row_inf_cache = np.ldexp(self._stored_row_inf(), -shift)
+        return self._row_inf_cache
 
     @property
     def canonical_shift(self) -> int:
@@ -244,20 +371,80 @@ class CompiledCTMDP(PairIndexedCTMDP):
         self.rate_scale = float(getattr(mdp, "rate_scale", 1.0))
         self._canonical = None
         self._sparse = None
+        self._row_inf_cache = None
         self.generator.setflags(write=False)
         self.cost.setflags(write=False)
 
-    # -- policy evaluation ---------------------------------------------------
+    # -- solver-loop protocol: dense evaluation -----------------------------
 
-    def evaluation_system(
-        self, sel: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(G, c)`` of the deterministic policy selecting rows *sel*.
+    def evaluator(self, reference_state: int, reuse: bool = True):
+        """``solve(sel, warm=False, cost=None) -> (gain, bias, exact)``.
 
-        ``G`` is a fresh writable array (fancy indexing copies), so
-        callers may assemble linear systems in place.
+        Solves the bordered system ``c + G h = g 1``, ``h[ref] = 0`` of
+        the policy selecting rows *sel* by dense LU under the guardrail
+        ladder. The system is allocated once: only the ``G`` block and
+        the ``-c`` right-hand side change between calls. It is assembled
+        from the canonical (exponent-normalized) arrays, so extreme
+        rate magnitudes never reach the factorization and power-of-two
+        rescalings of the model solve bit-identically; the gain is
+        mapped back by the exact inverse shift, the bias is
+        scale-invariant. *cost* optionally overrides the per-state cost
+        rates. Every solve is exact (*warm* and *reuse* are ignored).
         """
-        return self.generator[sel], self.cost[sel]
+        n = self.n_states
+        check_reference_state(reference_state, n)
+        # Canonical rows are shifted per solve rather than taken from
+        # canonical(): a one-off evaluate_policy call then never
+        # allocates the (pairs, n) canonical copy. ldexp is exact, so
+        # the bits are the same.
+        shift = self.canonical_shift
+        a = np.zeros((n + 1, n + 1))
+        a[:n, n] = -1.0
+        a[n, reference_state] = 1.0
+        b = np.zeros(n + 1)
+        row_inf = self._row_inf(shift)
+
+        def solve(sel: np.ndarray, warm: bool = False, cost=None):
+            np.ldexp(self.generator[sel], -shift, out=a[:n, :n])
+            np.negative(self._selected_cost(sel, cost, shift), out=b[:n])
+            solution = solve_with_fallback(
+                a, b, what="policy evaluation system",
+                context={"reference_state": reference_state},
+                a_max=max(1.0, float(np.max(row_inf[sel]))),
+            )
+            return float(np.ldexp(solution[n], shift)), solution[:n], True
+
+        return solve
+
+    def discounted_evaluator(self, discount: float):
+        """``solve(sel, warm=False) -> v`` of ``(a I - G) v = c``."""
+        eye = discount * np.eye(self.n_states)
+
+        def solve(sel: np.ndarray, warm: bool = False) -> np.ndarray:
+            try:
+                return np.linalg.solve(eye - self.generator[sel], self.cost[sel])
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
+                raise SolverError(
+                    "discounted evaluation system is singular"
+                ) from exc
+
+        return solve
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy selecting rows *sel*."""
+        return stationary_distribution(self.generator[sel], validate=False)
+
+    def uniformized_transition(self, lam: float) -> np.ndarray:
+        """``(P, n)`` rows of ``P = I + G/lam``."""
+        transition = self.generator / lam
+        transition[np.arange(self.n_pairs), self.pair_state] += 1.0
+        return transition
+
+    def _stored_row_inf(self) -> np.ndarray:
+        # max |x| as max(max x, -min x): no (pairs, n) temporary.
+        return np.maximum(
+            self.generator.max(axis=1), -self.generator.min(axis=1)
+        )
 
     def max_exit_rate(self) -> float:
         """Largest total exit rate; equals ``CTMDP.max_exit_rate()``."""

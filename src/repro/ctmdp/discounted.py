@@ -15,16 +15,17 @@ exactly this on the paper's DPM model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
+from repro.ctmdp.policy_iteration import check_atol
 
 
 @dataclass(frozen=True)
@@ -61,94 +62,36 @@ def _evaluate_discounted(policy: Policy, discount: float) -> np.ndarray:
         raise SolverError("discounted evaluation system is singular") from exc
 
 
-def _evaluate_discounted_rows(comp, sel, discount: float) -> np.ndarray:
-    """Compiled twin of :func:`_evaluate_discounted` (bit-identical)."""
-    g_mat, c = comp.evaluation_system(sel)
-    a = discount * np.eye(comp.n_states) - g_mat
-    try:
-        return np.linalg.solve(a, c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
-        raise SolverError("discounted evaluation system is singular") from exc
-
-
-def _discounted_policy_iteration_compiled(
-    mdp: CTMDP,
-    discount: float,
-    initial_policy: Optional[Policy],
-    max_iterations: int,
-    atol: float,
-) -> DiscountedResult:
-    """Vectorized discounted policy iteration over the compiled arrays."""
-    comp = compile_ctmdp(mdp)
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    values = _evaluate_discounted_rows(comp, sel, discount)
-    for iteration in range(1, max_iterations + 1):
-        test_values = comp.cost + comp.generator @ values
-        sel, changed = comp.improve(test_values, sel, atol)
-        if changed:
-            values = _evaluate_discounted_rows(comp, sel, discount)
-        # Unchanged policy: the same system re-solves to the same values.
-        if not changed:
-            return DiscountedResult(
-                policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
-                values=values,
-                discount=discount,
-                iterations=iteration,
-            )
-    raise SolverError(
-        f"discounted policy iteration did not converge in {max_iterations} iterations"
-    )
-
-
-def _evaluate_discounted_sparse(comp, sel, discount: float) -> np.ndarray:
-    """Sparse twin of :func:`_evaluate_discounted_rows`: solve
-    ``(a I - G[sel]) v = c[sel]`` through the sparse ladder."""
-    import scipy.sparse as sp
-
-    from repro.ctmdp.sparse import solve_sparse_with_fallback
-
-    g_rows, c = comp.evaluation_rows(sel)
-    n = comp.n_states
-    a = sp.eye_array(n, format="csr") * discount - g_rows
-    return solve_sparse_with_fallback(
-        a, c, what="discounted evaluation system",
-        context={"discount": discount},
-    )
-
-
-def _discounted_policy_iteration_sparse(
+def _discounted_policy_iteration_lowered(
     mdp,
+    tier: str,
     discount: float,
-    initial_policy: Optional[Policy],
+    initial_policy,
     max_iterations: int,
     atol: float,
 ) -> DiscountedResult:
-    """Discounted policy iteration over the CSR lowering."""
-    from repro.ctmdp.sparse import compile_sparse_ctmdp
+    """Discounted policy iteration on a lowered tier.
 
-    comp = compile_sparse_ctmdp(mdp)
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    values = _evaluate_discounted_sparse(comp, sel, discount)
+    The one loop behind ``compiled``/``sparse``/``kron``: the tier
+    object supplies the evaluation solver (``discounted_evaluator``; a
+    warm call may start from the previous values) and a stored-unit
+    improvement sweep.
+    """
+    solver = lower(mdp, tier)
+    evaluate = solver.discounted_evaluator(discount)
+    sel = solver.initial_selection(initial_policy)
+    values = evaluate(sel)
     for iteration in range(1, max_iterations + 1):
-        test_values = comp.generator @ values
-        test_values += comp.cost
-        sel, changed = comp.improve(test_values, sel, atol)
-        if changed:
-            values = _evaluate_discounted_sparse(comp, sel, discount)
+        sel, changed = solver.improve_on(values, sel, atol, canonical=False)
         # Unchanged policy: the same system re-solves to the same values.
         if not changed:
             return DiscountedResult(
-                policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
+                policy=solver.selection_policy(mdp, sel),
                 values=values,
                 discount=discount,
                 iterations=iteration,
             )
+        values = evaluate(sel, warm=True)
     raise SolverError(
         f"discounted policy iteration did not converge in {max_iterations} iterations"
     )
@@ -169,8 +112,9 @@ def discounted_policy_iteration(
     mdp:
         The model.
     discount:
-        The paper's ``a``; must be positive. Small values approximate the
-        average-cost criterion (Theorem 2.3).
+        The paper's ``a``; must be positive and finite (``ValueError``
+        otherwise). Small values approximate the average-cost criterion
+        (Theorem 2.3).
     initial_policy:
         Starting point; defaults to the first-listed action per state.
     max_iterations, atol:
@@ -184,23 +128,16 @@ def discounted_policy_iteration(
         Kronecker models), or ``"reference"`` (the original per-state
         dict loops); results agree across tiers.
     """
-    if discount <= 0:
-        raise ValueError(f"discount factor must be positive, got {discount}")
+    if not 0.0 < discount < math.inf:
+        raise ValueError(
+            f"discount factor must be positive and finite, got {discount}"
+        )
+    check_atol(atol)
     backend = resolve_backend(mdp, backend)
     mdp.validate()
-    if backend == "kron":
-        from repro.ctmdp.kron import discounted_policy_iteration_kron
-
-        return discounted_policy_iteration_kron(
-            mdp, discount, initial_policy, max_iterations, atol
-        )
-    if backend == "sparse":
-        return _discounted_policy_iteration_sparse(
-            mdp, discount, initial_policy, max_iterations, atol
-        )
-    if backend == "compiled":
-        return _discounted_policy_iteration_compiled(
-            mdp, discount, initial_policy, max_iterations, atol
+    if backend != "reference":
+        return _discounted_policy_iteration_lowered(
+            mdp, backend, discount, initial_policy, max_iterations, atol
         )
     if initial_policy is None:
         policy = Policy(mdp, {s: mdp.actions(s)[0] for s in mdp.states})

@@ -36,6 +36,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from repro.ctmdp.compiled import (
+    POLICY_PAYLOAD_ROWS,
+    check_reference_state,
+    incumbent_argmin,
+)
 from repro.ctmdp.model import CTMDP
 from repro.errors import (
     InvalidGeneratorError,
@@ -294,14 +299,19 @@ class KroneckerCTMDP:
     def canonical_shift(self) -> int:
         return canonical_shift(self.max_exit_rate())
 
-    def default_action_index(self) -> np.ndarray:
-        """First available action per state (global order) -- the
-        matrix-free analogue of the first-listed initial policy."""
-        return np.argmax(self.available, axis=0).astype(np.intp)
+    # -- solver-loop protocol ------------------------------------------------
+    #
+    # The method set the shared policy-iteration, value-iteration and
+    # discounted loops drive (see PairIndexedCTMDP); a selection here is
+    # the flat global action-index array, one entry per state.
 
-    def policy_array(self, policy) -> np.ndarray:
+    def initial_selection(self, policy) -> np.ndarray:
         """Flat action-index array of *policy* (``ArrayPolicy`` or any
-        object with ``as_dict``)."""
+        object with ``as_dict``); for ``None``, the first available
+        action per state in global order -- the matrix-free analogue of
+        the first-listed initial policy."""
+        if policy is None:
+            return np.argmax(self.available, axis=0).astype(np.intp)
         if isinstance(policy, ArrayPolicy):
             return policy.action_index
         action_pos = {a: k for k, a in enumerate(self.action_set)}
@@ -323,6 +333,262 @@ class KroneckerCTMDP:
                 f"{self.state_label(bad)!r}"
             )
         return sel
+
+    def improve_on(
+        self, values: np.ndarray, sel: np.ndarray, atol: float,
+        canonical: bool = True,
+    ) -> "tuple[np.ndarray, bool]":
+        """Incumbent-rule improvement sweep, one matvec per action.
+
+        Test quantities ``c_a + G_a values`` (canonical units with
+        ``canonical``), ``+inf`` where unavailable, scanned in global
+        action order by :func:`repro.ctmdp.compiled.incumbent_argmin`.
+        """
+        shift = self.canonical_shift
+        test = np.full((self.n_actions, self.n_states), np.inf)
+        for a in range(self.n_actions):
+            mask = self.available[a]
+            if not mask.any():
+                continue
+            _count_matvecs()
+            row = self.costs[a] + self.generators[a].matvec(values)
+            if canonical:
+                row = np.ldexp(row, -shift)
+            test[a, mask] = row[mask]
+        best = incumbent_argmin(test, sel, atol)
+        return best, bool(np.any(best != sel))
+
+    def evaluator(self, reference_state: int, reuse: bool = True):
+        """``solve(sel, warm=False, cost=None) -> (gain, bias, exact)``,
+        fully matrix-free.
+
+        Solves the uniformized elimination system (module doc) in
+        canonical units with GMRES; the accepted solution is
+        residual-checked against the original evaluation equations
+        ``c + G h = g 1`` under the guardrail tolerance. A ``warm`` call
+        starts GMRES from the previous call's bias; acceptance is the
+        same, so every solve counts as exact. *reuse* is ignored, and
+        cost overrides are not supported.
+        """
+        from repro.ctmdp.uniformization import APERIODICITY_SLACK
+
+        n = self.n_states
+        check_reference_state(reference_state, n)
+        shift = self.canonical_shift
+        max_rate_can = float(np.ldexp(self.max_exit_rate(), -shift))
+        lam = APERIODICITY_SLACK * max_rate_can if max_rate_can > 0 else 1.0
+        previous = None
+
+        def solve(sel: np.ndarray, warm: bool = False, cost=None):
+            nonlocal previous
+            if cost is not None:
+                raise SolverError(
+                    "cost_vector overrides are not supported on the "
+                    "matrix-free tier"
+                )
+            ins = obs_active()
+            if ins.enabled and ins.metrics is not None:
+                ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(
+                    float(np.ldexp(lam, shift))
+                )
+            with ins.span(
+                "policy_evaluation", backend="kron", n_states=n
+            ) as span:
+                g_apply = _policy_generator_apply(self, sel)
+
+                def g_can(x: np.ndarray) -> np.ndarray:
+                    # Canonical application is exact: 2**-shift times
+                    # the matvec.
+                    return np.ldexp(g_apply(x), -shift)
+
+                c_can = np.ldexp(self.costs[sel, np.arange(n)], -shift)
+                c_ref = float(c_can[reference_state])
+
+                def elimination(x: np.ndarray) -> np.ndarray:
+                    # A h = h - P h + (P h)_ref 1  with  P = I + G/lam.
+                    px = x + g_can(x) / lam
+                    return x - px + px[reference_state]
+
+                operator = LinearOperator(
+                    (n, n), matvec=elimination, dtype=float
+                )
+                h = _gmres_solve(
+                    operator, (c_can - c_ref) / lam,
+                    previous if warm else None,
+                    what="matrix-free policy evaluation",
+                    context={"reference_state": reference_state},
+                )
+                h = h - h[reference_state]
+                gh = g_can(h)
+                gain_can = c_ref + float(gh[reference_state])
+                # Residual of the original evaluation equations,
+                # guardrail-style.
+                residual = c_can + gh - gain_can
+                scale = (
+                    max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
+                    + float(np.max(np.abs(c_can), initial=0.0))
+                    + abs(gain_can)
+                )
+                rel = float(np.max(np.abs(residual), initial=0.0)) / max(
+                    scale, 1e-300
+                )
+                span.attrs.update(residual=rel)
+                if rel > RESIDUAL_RTOL:
+                    raise SolverError(
+                        f"matrix-free policy evaluation residual {rel:.3g} "
+                        f"exceeds {RESIDUAL_RTOL:g}; the induced chain is "
+                        "likely multichain",
+                        diagnostics={
+                            "backend": "kron", "residual": rel,
+                            "residual_rtol": RESIDUAL_RTOL,
+                        },
+                    )
+                gain = float(np.ldexp(gain_can, shift))
+                span.attrs.update(gain=gain)
+            previous = h
+            return gain, h, True
+
+        return solve
+
+    def discounted_evaluator(self, discount: float):
+        """``solve(sel, warm=False) -> v`` of ``(a I - G_pi) v = c_pi``
+        by GMRES (strictly diagonally dominant for ``a > 0``, so
+        unpreconditioned Krylov converges reliably); a ``warm`` call
+        starts from the previous call's values."""
+        n = self.n_states
+        state_range = np.arange(n)
+        previous = None
+
+        def solve(sel: np.ndarray, warm: bool = False) -> np.ndarray:
+            nonlocal previous
+            g_apply = _policy_generator_apply(self, sel)
+            operator = LinearOperator(
+                (n, n), matvec=lambda x: discount * x - g_apply(x),
+                dtype=float,
+            )
+            c = self.costs[sel, state_range]
+            v = _gmres_solve(
+                operator, c, previous if warm else None,
+                what="matrix-free discounted evaluation",
+                context={"discount": discount},
+            )
+            residual = c + g_apply(v) - discount * v
+            scale = (
+                (self.max_exit_rate() * 2.0 + discount)
+                * float(np.max(np.abs(v), initial=0.0))
+                + float(np.max(np.abs(c), initial=0.0))
+            )
+            rel = float(np.max(np.abs(residual), initial=0.0)) / max(
+                scale, 1e-300
+            )
+            if rel > RESIDUAL_RTOL:
+                raise SolverError(
+                    f"matrix-free discounted evaluation residual {rel:.3g} "
+                    f"exceeds {RESIDUAL_RTOL:g}",
+                    diagnostics={
+                        "backend": "kron", "residual": rel,
+                        "residual_rtol": RESIDUAL_RTOL, "discount": discount,
+                    },
+                )
+            previous = v
+            return v
+
+        return solve
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy *sel*, matrix-free.
+
+        Same last-row-normalization formulation as the dense and sparse
+        stationary solvers, with ``G_pi^T`` applied through per-factor
+        transposes.
+        """
+        n = self.n_states
+        shift = self.canonical_shift
+        rapply = _policy_generator_rapply(self, sel)
+
+        def balance(x: np.ndarray) -> np.ndarray:
+            y = np.ldexp(rapply(x), -shift)
+            y[-1] = x.sum()
+            return y
+
+        operator = LinearOperator((n, n), matvec=balance, dtype=float)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        try:
+            with obs_active().span(
+                "stationary_solve", backend="kron", n_states=n
+            ):
+                p = _gmres_solve(
+                    operator, b, np.full(n, 1.0 / n),
+                    what="matrix-free stationary solve", context={},
+                )
+        except SolverError as exc:
+            raise NotIrreducibleError(
+                "stationary distribution is not unique or does not exist: "
+                + str(exc)
+            ) from exc
+        if np.min(p) < -1e-7:
+            raise NotIrreducibleError(
+                "matrix-free stationary solve produced significantly "
+                f"negative probabilities (min {np.min(p):.3g})"
+            )
+        p = np.clip(p, 0.0, None)
+        total = p.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise NotIrreducibleError(
+                "matrix-free stationary solve produced a non-normalizable "
+                "vector"
+            )
+        return p / total
+
+    def uniformized_backup(self, lam: float):
+        """``w -> (new w, greedy selection)``: one uniformized Bellman
+        backup ``min_a [c_a/lam + w + (G_a w)/lam]``, one matvec per
+        action, ``+inf`` where unavailable, first-wins in global action
+        order. Publishes *lam* on :data:`UNIFORMIZATION_GAUGE`."""
+        ins = obs_active()
+        if ins.metrics is not None:
+            ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(lam)
+        n = self.n_states
+
+        def backup(w: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            best_val = np.full(n, np.inf)
+            best_act = np.zeros(n, dtype=np.intp)
+            for a in range(self.n_actions):
+                mask = self.available[a]
+                if not mask.any():
+                    continue
+                _count_matvecs()
+                values = (
+                    self.costs[a] / lam
+                    + w
+                    + self.generators[a].matvec(w) / lam
+                )
+                values = np.where(mask, values, np.inf)
+                better = values < best_val
+                if np.any(better):
+                    best_val = np.where(better, values, best_val)
+                    best_act = np.where(better, a, best_act)
+            return best_val, best_act
+
+        return backup
+
+    def selection_policy(self, mdp, sel: np.ndarray) -> ArrayPolicy:
+        """The :class:`ArrayPolicy` selecting action indices *sel*."""
+        return ArrayPolicy(self, sel)
+
+    def selection_payload(self, sel: np.ndarray) -> "List[List[str]]":
+        """The first :data:`~repro.ctmdp.compiled.POLICY_PAYLOAD_ROWS`
+        ``[state, action]`` rows of *sel*, rendered for diagnostics."""
+        keep = min(POLICY_PAYLOAD_ROWS, self.n_states)
+        label = (
+            self.states.__getitem__
+            if self.n_states <= LABEL_LIMIT else self.state_label
+        )
+        return [
+            [repr(label(i)), repr(self.action_set[a])]
+            for i, a in enumerate(sel[:keep].tolist())
+        ]
 
     # -- conversions ---------------------------------------------------------
 
@@ -548,466 +814,3 @@ def _gmres_solve(operator, b, x0, what: str, context: "Dict") -> np.ndarray:
             },
         )
     return x
-
-
-def kron_gain_bias(
-    kmdp: KroneckerCTMDP,
-    sel: np.ndarray,
-    reference_state: int = 0,
-    x0: "Optional[np.ndarray]" = None,
-) -> "tuple[float, np.ndarray]":
-    """Gain and bias of the policy *sel*, fully matrix-free.
-
-    Solves the uniformized elimination system (module doc) in canonical
-    units with GMRES; the accepted solution is residual-checked against
-    the original evaluation equations ``c + G h = g 1`` under the
-    guardrail tolerance.
-    """
-    from repro.ctmdp.uniformization import APERIODICITY_SLACK
-
-    n = kmdp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(
-            f"reference state {reference_state} out of range"
-        )
-    shift = kmdp.canonical_shift
-    max_rate_can = float(np.ldexp(kmdp.max_exit_rate(), -shift))
-    lam = APERIODICITY_SLACK * max_rate_can if max_rate_can > 0 else 1.0
-    ins = obs_active()
-    if ins.enabled and ins.metrics is not None:
-        ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(
-            float(np.ldexp(lam, shift))
-        )
-    with ins.span(
-        "policy_evaluation", backend="kron", n_states=n
-    ) as span:
-        g_apply = _policy_generator_apply(kmdp, sel)
-
-        def g_can(x: np.ndarray) -> np.ndarray:
-            # Canonical application is exact: 2**-shift times the matvec.
-            return np.ldexp(g_apply(x), -shift)
-
-        c_can = np.ldexp(
-            kmdp.costs[sel, np.arange(n)], -shift
-        )
-        c_ref = float(c_can[reference_state])
-
-        def elimination(x: np.ndarray) -> np.ndarray:
-            # A h = h - P h + (P h)_ref 1  with  P = I + G/lam.
-            px = x + g_can(x) / lam
-            return x - px + px[reference_state]
-
-        operator = LinearOperator((n, n), matvec=elimination, dtype=float)
-        b = (c_can - c_ref) / lam
-        h = _gmres_solve(
-            operator, b, x0,
-            what="matrix-free policy evaluation",
-            context={"reference_state": reference_state},
-        )
-        h = h - h[reference_state]
-        gh = g_can(h)
-        gain_can = c_ref + float(gh[reference_state])
-        # Residual of the original evaluation equations, guardrail-style.
-        residual = c_can + gh - gain_can
-        scale = (
-            max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
-            + float(np.max(np.abs(c_can), initial=0.0))
-            + abs(gain_can)
-        )
-        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-        span.attrs.update(residual=rel)
-        if rel > RESIDUAL_RTOL:
-            raise SolverError(
-                f"matrix-free policy evaluation residual {rel:.3g} exceeds "
-                f"{RESIDUAL_RTOL:g}; the induced chain is likely multichain",
-                diagnostics={
-                    "backend": "kron", "residual": rel,
-                    "residual_rtol": RESIDUAL_RTOL,
-                },
-            )
-        gain = float(np.ldexp(gain_can, shift))
-        span.attrs.update(gain=gain)
-        return gain, h
-
-
-def kron_stationary(kmdp: KroneckerCTMDP, sel: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the policy *sel*, matrix-free.
-
-    Same last-row-normalization formulation as the dense and sparse
-    stationary solvers, with ``G_pi^T`` applied through per-factor
-    transposes.
-    """
-    n = kmdp.n_states
-    shift = kmdp.canonical_shift
-    rapply = _policy_generator_rapply(kmdp, sel)
-
-    def balance(x: np.ndarray) -> np.ndarray:
-        y = np.ldexp(rapply(x), -shift)
-        y[-1] = x.sum()
-        return y
-
-    operator = LinearOperator((n, n), matvec=balance, dtype=float)
-    b = np.zeros(n)
-    b[-1] = 1.0
-    x0 = np.full(n, 1.0 / n)
-    try:
-        with obs_active().span(
-            "stationary_solve", backend="kron", n_states=n
-        ):
-            p = _gmres_solve(
-                operator, b, x0,
-                what="matrix-free stationary solve", context={},
-            )
-    except SolverError as exc:
-        raise NotIrreducibleError(
-            "stationary distribution is not unique or does not exist: "
-            + str(exc)
-        ) from exc
-    if np.min(p) < -1e-7:
-        raise NotIrreducibleError(
-            "matrix-free stationary solve produced significantly negative "
-            f"probabilities (min {np.min(p):.3g})"
-        )
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NotIrreducibleError(
-            "matrix-free stationary solve produced a non-normalizable vector"
-        )
-    return p / total
-
-
-def kron_evaluate(
-    kmdp: KroneckerCTMDP,
-    policy,
-    reference_state: int = 0,
-    compute_stationary: bool = True,
-):
-    """Full matrix-free evaluation of *policy* on *kmdp*."""
-    from repro.ctmdp.policy import PolicyEvaluation
-
-    sel = kmdp.policy_array(policy)
-    gain, bias = kron_gain_bias(kmdp, sel, reference_state)
-    stationary = kron_stationary(kmdp, sel) if compute_stationary else None
-    return PolicyEvaluation(gain=gain, bias=bias, stationary=stationary)
-
-
-def _improve_kron(
-    kmdp: KroneckerCTMDP,
-    bias: np.ndarray,
-    sel: np.ndarray,
-    atol_can: float,
-    shift: int,
-) -> "tuple[np.ndarray, bool, np.ndarray]":
-    """One incumbent-rule improvement sweep, one matvec per action.
-
-    Same semantics as ``PairIndexedCTMDP.improve``: scanning actions in
-    global order, a candidate displaces the running best only when
-    smaller by more than ``atol_can``; unavailable actions sit at +inf.
-    Returns ``(new sel, changed, test values (n_actions, n))``.
-    """
-    n = kmdp.n_states
-    test = np.full((kmdp.n_actions, n), np.inf)
-    for a in range(kmdp.n_actions):
-        mask = kmdp.available[a]
-        if not mask.any():
-            continue
-        _count_matvecs()
-        values = np.ldexp(
-            kmdp.costs[a] + kmdp.generators[a].matvec(bias), -shift
-        )
-        test[a, mask] = values[mask]
-    state_range = np.arange(n)
-    best_val = test[sel, state_range]
-    best = sel.copy()
-    for a in range(kmdp.n_actions):
-        column = test[a]
-        better = (column < best_val - atol_can) & (sel != a)
-        if np.any(better):
-            best_val = np.where(better, column, best_val)
-            best = np.where(better, a, best)
-    changed = bool(np.any(best != sel))
-    return best, changed, test
-
-
-def policy_iteration_kron(
-    kmdp: KroneckerCTMDP,
-    initial_policy=None,
-    max_iterations: int = 1000,
-    atol: float = 1e-9,
-    reference_state: int = 0,
-    time_budget_s: "Optional[float]" = None,
-):
-    """Howard policy iteration with matrix-free evaluation sweeps."""
-    from repro.ctmdp.policy_iteration import (
-        PolicyIterationResult,
-        _check_budget,
-        _convergence_series,
-        _CycleDetector,
-    )
-    import time
-
-    kmdp.validate()
-    ins = obs_active()
-    metrics = ins.metrics
-    if metrics is not None:
-        metrics.counter("solver.policy_iteration.solves").inc()
-    n = kmdp.n_states
-    if initial_policy is None:
-        sel = kmdp.default_action_index()
-    else:
-        sel = kmdp.policy_array(initial_policy)
-    shift = kmdp.canonical_shift
-    atol_can = float(np.ldexp(atol * kmdp.rate_scale, -shift))
-    started = time.perf_counter()
-    cycles = _CycleDetector()
-    gain_history: List[float] = []
-    series = _convergence_series(metrics) if metrics is not None else None
-    if ins.enabled:
-        sweep_start = time.perf_counter()
-    gain, bias = kron_gain_bias(kmdp, sel, reference_state)
-    gain_history.append(gain)
-    if series is not None:
-        series.append(
-            backend="kron", iteration=0, gain=gain, residual=None,
-            policy_changes=None,
-            sweep_s=time.perf_counter() - sweep_start,
-        )
-    cycles.check(sel.tobytes(), 0, gain_history, None)
-    with ins.span("policy_iteration", backend="kron", n_states=n) as span:
-        for iteration in range(1, max_iterations + 1):
-            _check_budget(started, time_budget_s, iteration, gain_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            previous_sel = sel
-            previous_gain = gain
-            sel, changed, _ = _improve_kron(kmdp, bias, sel, atol_can, shift)
-            if changed:
-                cycles.check(sel.tobytes(), iteration, gain_history, None)
-                gain, bias = kron_gain_bias(
-                    kmdp, sel, reference_state, x0=bias
-                )
-            gain_history.append(gain)
-            if series is not None:
-                series.append(
-                    backend="kron", iteration=iteration, gain=gain,
-                    residual=abs(gain - previous_gain),
-                    policy_changes=int(np.count_nonzero(sel != previous_sel)),
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if not changed:
-                if ins.enabled:
-                    span.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.policy_iteration.iterations"
-                        ).observe(iteration)
-                return PolicyIterationResult(
-                    policy=ArrayPolicy(kmdp, sel),
-                    gain=gain,
-                    bias=bias,
-                    stationary=kron_stationary(kmdp, sel),
-                    iterations=iteration,
-                    gain_history=gain_history,
-                )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "backend": "kron",
-            "gain_history": gain_history[-10:],
-        },
-    )
-
-
-def relative_value_iteration_kron(
-    kmdp: KroneckerCTMDP,
-    span_tolerance: float = 1e-10,
-    max_iterations: int = 1_000_000,
-    uniformization_rate: "Optional[float]" = None,
-    time_budget_s: "Optional[float]" = None,
-):
-    """Relative value iteration with matrix-free uniformized backups.
-
-    Mirrors the compiled implementation sweep for sweep: uniformization
-    rate ``APERIODICITY_SLACK * max exit rate`` (or the explicit
-    override), strict first-wins greedy argmin in global action order,
-    span-seminorm stopping, gain from the midpoint of the final
-    difference vector.
-    """
-    from repro.ctmdp.uniformization import APERIODICITY_SLACK
-    from repro.ctmdp.value_iteration import (
-        CONVERGENCE_SERIES,
-        ValueIterationResult,
-        _budget_error,
-        _nonconvergence_error,
-    )
-    import time
-
-    kmdp.validate()
-    ins = obs_active()
-    metrics = ins.metrics
-    series = (
-        metrics.series(CONVERGENCE_SERIES, profiling_fields=("sweep_s",))
-        if metrics is not None
-        else None
-    )
-    if metrics is not None:
-        metrics.counter("solver.value_iteration.solves").inc()
-    n = kmdp.n_states
-    max_rate = kmdp.max_exit_rate()
-    if uniformization_rate is not None:
-        lam = float(uniformization_rate)
-        if lam < max_rate:
-            raise ValueError(
-                f"uniformization rate {lam:g} is below the max exit rate "
-                f"{max_rate:g}"
-            )
-    else:
-        lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
-    if metrics is not None:
-        metrics.gauge(UNIFORMIZATION_GAUGE).set(lam)
-    state_range = np.arange(n)
-    w = np.zeros(n)
-    span_history: List[float] = []
-    started = time.perf_counter()
-    with ins.span("value_iteration", backend="kron", n_states=n) as span_rec:
-        for iteration in range(1, max_iterations + 1):
-            _budget_error(started, time_budget_s, iteration, span_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            # One uniformized backup per action: c/lam + w + (G w)/lam,
-            # +inf where unavailable, then a first-wins argmin.
-            best_val = np.full(n, np.inf)
-            best_act = np.zeros(n, dtype=np.intp)
-            for a in range(kmdp.n_actions):
-                mask = kmdp.available[a]
-                if not mask.any():
-                    continue
-                _count_matvecs()
-                values = (
-                    kmdp.costs[a] / lam
-                    + w
-                    + kmdp.generators[a].matvec(w) / lam
-                )
-                values = np.where(mask, values, np.inf)
-                better = values < best_val
-                if np.any(better):
-                    best_val = np.where(better, values, best_val)
-                    best_act = np.where(better, a, best_act)
-            diff = best_val - w
-            span_value = float(diff.max() - diff.min())
-            span_history.append(span_value)
-            if series is not None:
-                series.append(
-                    backend="kron", iteration=iteration, span=span_value,
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if span_value < span_tolerance:
-                gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                if ins.enabled:
-                    span_rec.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.value_iteration.iterations"
-                        ).observe(iteration)
-                values = best_val - best_val[0]
-                return ValueIterationResult(
-                    policy=ArrayPolicy(kmdp, best_act),
-                    gain=gain,
-                    values=values,
-                    iterations=iteration,
-                    span_history=span_history,
-                )
-            w = best_val - best_val[0]
-    raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
-
-
-def discounted_policy_iteration_kron(
-    kmdp: KroneckerCTMDP,
-    discount: float,
-    initial_policy=None,
-    max_iterations: int = 1000,
-    atol: float = 1e-9,
-):
-    """Discounted policy iteration with matrix-free evaluation.
-
-    Evaluation solves ``(a I - G_pi) v = c_pi`` by GMRES (the operator
-    is strictly diagonally dominant for ``a > 0``, so unpreconditioned
-    Krylov converges reliably); improvement mirrors the dense incumbent
-    rule, one matvec per action.
-    """
-    from repro.ctmdp.discounted import DiscountedResult
-
-    kmdp.validate()
-    n = kmdp.n_states
-    if initial_policy is None:
-        sel = kmdp.default_action_index()
-    else:
-        sel = kmdp.policy_array(initial_policy)
-    state_range = np.arange(n)
-
-    def evaluate(sel: np.ndarray, x0) -> np.ndarray:
-        g_apply = _policy_generator_apply(kmdp, sel)
-        operator = LinearOperator(
-            (n, n), matvec=lambda x: discount * x - g_apply(x), dtype=float
-        )
-        c = kmdp.costs[sel, state_range]
-        v = _gmres_solve(
-            operator, c, x0,
-            what="matrix-free discounted evaluation",
-            context={"discount": discount},
-        )
-        residual = c + g_apply(v) - discount * v
-        scale = (
-            (kmdp.max_exit_rate() * 2.0 + discount)
-            * float(np.max(np.abs(v), initial=0.0))
-            + float(np.max(np.abs(c), initial=0.0))
-        )
-        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-        if rel > RESIDUAL_RTOL:
-            raise SolverError(
-                f"matrix-free discounted evaluation residual {rel:.3g} "
-                f"exceeds {RESIDUAL_RTOL:g}",
-                diagnostics={
-                    "backend": "kron", "residual": rel,
-                    "residual_rtol": RESIDUAL_RTOL, "discount": discount,
-                },
-            )
-        return v
-
-    values = evaluate(sel, None)
-    for iteration in range(1, max_iterations + 1):
-        # Raw-unit test quantities and threshold, like the dense path.
-        test = np.full((kmdp.n_actions, n), np.inf)
-        for a in range(kmdp.n_actions):
-            mask = kmdp.available[a]
-            if not mask.any():
-                continue
-            _count_matvecs()
-            vals = kmdp.costs[a] + kmdp.generators[a].matvec(values)
-            test[a, mask] = vals[mask]
-        best_val = test[sel, state_range]
-        best = sel.copy()
-        for a in range(kmdp.n_actions):
-            column = test[a]
-            better = (column < best_val - atol) & (sel != a)
-            if np.any(better):
-                best_val = np.where(better, column, best_val)
-                best = np.where(better, a, best)
-        changed = bool(np.any(best != sel))
-        sel = best
-        if changed:
-            values = evaluate(sel, values)
-        if not changed:
-            return DiscountedResult(
-                policy=ArrayPolicy(kmdp, sel),
-                values=values,
-                discount=discount,
-                iterations=iteration,
-            )
-    raise SolverError(
-        f"discounted policy iteration did not converge in {max_iterations} "
-        "iterations"
-    )

@@ -212,52 +212,6 @@ class PolicyEvaluation:
     stationary: Optional[np.ndarray]
 
 
-def _evaluate_policy_sparse(
-    policy,
-    cost_vector: Optional[np.ndarray],
-    reference_state: int,
-    compute_stationary: bool,
-) -> PolicyEvaluation:
-    """Sparse-ladder twin of the dense evaluation assembly."""
-    import scipy.sparse as sp
-
-    from repro.ctmdp.sparse import (
-        compile_sparse_ctmdp,
-        solve_sparse_with_fallback,
-        sparse_stationary_distribution,
-    )
-
-    smdp = compile_sparse_ctmdp(policy.mdp)
-    sel = smdp.policy_rows(policy.as_dict())
-    n = smdp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    g_can, c_can, shift = smdp.canonical()
-    rows = g_can[sel]
-    if cost_vector is None:
-        c = c_can[sel]
-    else:
-        c = np.ldexp(np.asarray(cost_vector, dtype=float), -shift)
-    if c.shape != (n,):
-        raise InvalidPolicyError(f"cost vector shape {c.shape} != ({n},)")
-    gain_col = sp.csr_array(
-        (np.full(n, -1.0), (np.arange(n), np.zeros(n, int))), shape=(n, 1)
-    )
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
-    a = sp.block_array([[rows, gain_col], [ref_row, None]], format="csc")
-    b = np.concatenate([-c, [0.0]])
-    solution = solve_sparse_with_fallback(
-        a, b, what="policy evaluation system",
-        context={"reference_state": reference_state},
-        a_max=max(1.0, float(np.max(np.abs(rows.data), initial=0.0))),
-    )
-    gain = float(np.ldexp(solution[n], shift))
-    if not compute_stationary:
-        return PolicyEvaluation(gain=gain, bias=solution[:n], stationary=None)
-    p = sparse_stationary_distribution(smdp.generator[sel])
-    return PolicyEvaluation(gain=gain, bias=solution[:n], stationary=p)
-
-
 def evaluate_policy(
     policy,
     cost_vector: Optional[np.ndarray] = None,
@@ -299,65 +253,54 @@ def evaluate_policy(
         to each other; sparse/matrix-free results match within the
         documented residual tolerance.
     """
-    from repro.ctmdp.kron import ArrayPolicy, KroneckerCTMDP, kron_evaluate
-    from repro.ctmdp.sparse import SparseCTMDP
+    from repro.ctmdp.kron import ArrayPolicy, KroneckerCTMDP
+    from repro.ctmdp.sparse import SparseCTMDP, compile_sparse_ctmdp
+    from repro.errors import SolverError
 
     mdp = policy.mdp
+    tier = None
     if isinstance(mdp, KroneckerCTMDP) or isinstance(policy, ArrayPolicy):
         if backend not in (None, "auto", "kron"):
-            from repro.errors import SolverError
-
             raise SolverError(
                 f"backend {backend!r} cannot evaluate a policy over a "
                 "KroneckerCTMDP; Kronecker models are matrix-free only"
             )
-        if cost_vector is not None:
-            from repro.errors import SolverError
-
-            raise SolverError(
-                "cost_vector overrides are not supported on the "
-                "matrix-free tier"
-            )
-        return kron_evaluate(
-            mdp, policy, reference_state=reference_state,
-            compute_stationary=compute_stationary,
-        )
-    if backend == "sparse" or isinstance(mdp, SparseCTMDP):
+        tier = mdp
+    elif backend == "sparse" or isinstance(mdp, SparseCTMDP):
         if isinstance(mdp, SparseCTMDP) and backend not in (
             None, "auto", "sparse"
         ):
-            from repro.errors import SolverError
-
             raise SolverError(
                 f"backend {backend!r} cannot evaluate a policy over a "
                 "SparseCTMDP; sparse-built models never had a dict/dense "
                 "form (backend='sparse' or None)"
             )
         if not hasattr(policy, "as_dict"):
-            from repro.errors import SolverError
-
             raise SolverError(
                 "sparse evaluation supports deterministic policies only"
             )
-        return _evaluate_policy_sparse(
-            policy, cost_vector, reference_state, compute_stationary
-        )
-    comp = None
-    if backend != "reference" and isinstance(policy, Policy):
+        tier = compile_sparse_ctmdp(mdp)
+    elif backend != "reference" and isinstance(policy, Policy):
         if backend == "compiled":
             from repro.ctmdp.compiled import compile_ctmdp
 
-            comp = compile_ctmdp(policy.mdp)
+            tier = compile_ctmdp(mdp)
         else:
-            comp = getattr(policy.mdp, "_compiled", None)
-    if comp is not None:
-        g_mat, compiled_cost = comp.evaluation_system(
-            comp.policy_rows(policy.as_dict())
+            tier = getattr(mdp, "_compiled", None)
+    if tier is not None:
+        # The lowered tiers evaluate through the same solver the policy-
+        # iteration loop uses (``evaluator``/``stationary``).
+        sel = tier.initial_selection(policy)
+        gain, h, _ = tier.evaluator(reference_state, reuse=False)(
+            sel, cost=cost_vector
         )
-        c = compiled_cost if cost_vector is None else np.asarray(cost_vector, float)
-    else:
-        g_mat = policy.generator_matrix()
-        c = policy.cost_vector() if cost_vector is None else np.asarray(cost_vector, float)
+        return PolicyEvaluation(
+            gain=gain,
+            bias=h,
+            stationary=tier.stationary(sel) if compute_stationary else None,
+        )
+    g_mat = policy.generator_matrix()
+    c = policy.cost_vector() if cost_vector is None else np.asarray(cost_vector, float)
     n = g_mat.shape[0]
     if c.shape != (n,):
         raise InvalidPolicyError(f"cost vector shape {c.shape} != ({n},)")
@@ -371,7 +314,7 @@ def evaluate_policy(
     # exactly; the bias is scale-invariant.
     from repro.markov.generator import canonical_shift
 
-    shift = canonical_shift(policy.mdp.max_exit_rate())
+    shift = canonical_shift(mdp.max_exit_rate())
     a = np.zeros((n + 1, n + 1))
     a[:n, :n] = np.ldexp(g_mat, -shift)
     a[:n, n] = -1.0

@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import CompiledCTMDP, compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
+from repro.ctmdp.compiled import POLICY_PAYLOAD_ROWS
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, PolicyEvaluation, evaluate_policy
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
-from repro.robust.guardrails import solve_with_fallback
 
 logger = get_logger(__name__)
 
@@ -71,7 +71,13 @@ class PolicyIterationResult:
         Number of improvement rounds performed (including the final
         no-change round).
     gain_history:
-        Gain after each evaluation, monotonically non-increasing.
+        Gain after each evaluation. Not monotone in general: each
+        policy change lowers the gain of a unichain policy, but an
+        intermediate policy may be multichain, and its (near-singular)
+        evaluation can report any gain. On
+        ``paper_system(capacity=200).build_ctmdp(0.1)`` the compiled
+        tier's 77 rounds go 40.03, 29.04, 11.87, 40.01, ..., -2.32,
+        48.76, ... before converging at 10.71.
     """
 
     policy: Policy
@@ -87,30 +93,27 @@ def _default_initial_policy(mdp: CTMDP) -> Policy:
     return Policy(mdp, {s: mdp.actions(s)[0] for s in mdp.states})
 
 
-#: Number of ``[state, action]`` rows a diagnostic policy payload keeps.
-POLICY_PAYLOAD_ROWS = 200
-
-
 def _policy_payload(assignment) -> "List[List[str]]":
     """A JSON-serializable rendering of a policy for diagnostics."""
     rows = itertools.islice(assignment.items(), POLICY_PAYLOAD_ROWS)
     return [[repr(s), repr(a)] for s, a in rows]
 
 
-def _rows_payload(comp, sel: np.ndarray) -> "List[List[str]]":
-    """:func:`_policy_payload` of a pair-row selection, rendering only
-    the rows it keeps (no full ``state -> action`` dict)."""
-    keep = min(POLICY_PAYLOAD_ROWS, comp.n_states)
-    cols = comp.pair_col[sel[:keep]].tolist()
-    return [
-        [repr(comp.states[i]), repr(comp.actions[i][col])]
-        for i, col in enumerate(cols)
-    ]
+def check_atol(atol: float) -> None:
+    """Reject an improvement threshold that is NaN, infinite or < 0.
+
+    A NaN threshold makes every ``value < best - atol`` test false, so
+    policy iteration would stop after one round with its initial policy
+    and report it as optimal.
+    """
+    if not 0.0 <= atol < math.inf:
+        raise ValueError(f"atol must be finite and >= 0, got {atol!r}")
 
 
 def _check_budget(
     started: float, time_budget_s: "Optional[float]", iteration: int,
-    gain_history: "List[float]",
+    history: "List[float]", what: str = "policy iteration",
+    rounds: str = "iterations", history_key: str = "gain_history",
 ) -> None:
     """Raise a structured SolverError when the wall-clock budget is spent."""
     if time_budget_s is None:
@@ -118,15 +121,15 @@ def _check_budget(
     elapsed = time.perf_counter() - started
     if elapsed > time_budget_s:
         raise SolverError(
-            f"policy iteration exceeded its wall-clock budget "
+            f"{what} exceeded its wall-clock budget "
             f"({elapsed:.3f}s > {time_budget_s:g}s) after {iteration} "
-            "iterations",
+            f"{rounds}",
             diagnostics={
                 "reason": "time_budget_exceeded",
                 "iteration": iteration,
                 "elapsed_s": elapsed,
                 "time_budget_s": time_budget_s,
-                "gain_history": gain_history[-10:],
+                history_key: history[-10:],
             },
         )
 
@@ -134,11 +137,11 @@ def _check_budget(
 class _CycleDetector:
     """Detects policy iteration revisiting a previously seen policy.
 
-    With the ``atol`` incumbent-keeping rule the gain is strictly
-    decreasing across policy changes, so a revisit signals numerical
-    trouble (e.g. an evaluation solved in a degraded mode). Raising a
-    structured error with the offending policy beats iterating to the
-    ``max_iterations`` wall.
+    With the ``atol`` incumbent-keeping rule a revisit is impossible in
+    exact arithmetic on a unichain model, so it signals numerical
+    trouble (e.g. an evaluation solved in a degraded mode, or
+    intermediate multichain policies). Raising a structured error with
+    the offending policy beats iterating to the ``max_iterations`` wall.
     """
 
     def __init__(self) -> None:
@@ -208,311 +211,60 @@ def _improve(
     return Policy(mdp, assignment), changed
 
 
-def _solve_gain_bias(
-    comp: CompiledCTMDP, sel: np.ndarray, reference_state: int
-) -> "tuple[float, np.ndarray]":
-    """Gain and bias of the policy selecting compiled rows *sel*.
-
-    Solves the same ``c + G h = g 1``, ``h[ref] = 0`` system as
-    :func:`repro.ctmdp.policy.evaluate_policy`, assembled from the
-    compiled arrays; gains and biases agree bit-for-bit.
-    """
-    from repro.errors import InvalidPolicyError
-
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    g_all, c_all, shift = comp.canonical()
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = g_all[sel]
-    a[:n, n] = -1.0
-    a[n, reference_state] = 1.0
-    b = np.concatenate([-c_all[sel], [0.0]])
-    solution = solve_with_fallback(
-        a, b, what="policy evaluation system",
-        context={"reference_state": reference_state},
-    )
-    # The system was assembled in canonical units; the gain carries a
-    # unit of [cost/time] and is shifted back exactly, while the bias
-    # (a pure cost) is scale-invariant.
-    return float(np.ldexp(solution[n], shift)), solution[:n]
-
-
-def evaluate_rows(
-    comp: CompiledCTMDP, sel: np.ndarray, reference_state: int = 0
-) -> PolicyEvaluation:
-    """Full evaluation (gain, bias, stationary) of compiled rows *sel*."""
-    from repro.markov.generator import stationary_distribution
-
-    gain, bias = _solve_gain_bias(comp, sel, reference_state)
-    return PolicyEvaluation(
-        gain=gain,
-        bias=bias,
-        stationary=stationary_distribution(comp.generator[sel]),
-    )
-
-
-def _policy_iteration_compiled(
-    mdp: CTMDP,
-    initial_policy: Optional[Policy],
+def _policy_iteration_lowered(
+    mdp,
+    tier: str,
+    initial_policy,
     max_iterations: int,
     atol: float,
     reference_state: int,
-    time_budget_s: "Optional[float]" = None,
+    time_budget_s: "Optional[float]",
+    reuse: bool,
 ) -> PolicyIterationResult:
-    """Vectorized policy iteration over the compiled arrays.
+    """Policy iteration on a lowered tier (``compiled``/``sparse``/``kron``).
 
-    Beyond vectorizing the improvement sweep, this path defers the
-    stationary-distribution solve to convergence -- intermediate
-    policies only need gain and bias -- which the reference path pays
-    for every round.
+    The one loop behind every tier: the tier object (see
+    :func:`repro.ctmdp.backends.lower`) supplies the selection, the
+    evaluation solver, the improvement sweep, the stationary solve and
+    the policy rendering; the loop owns the canonical-unit threshold,
+    the budget and cycle guards, telemetry, and two deferrals:
+
+    - the stationary distribution is solved once, for the converged
+      policy (intermediate policies need only gain and bias);
+    - a converged policy whose last evaluation came off a reuse rung
+      (``exact`` false) is re-evaluated cold, so its returned gain and
+      bias are exactly what a ``reuse=False`` solve produces.
     """
-    from repro.errors import InvalidPolicyError
-
     ins = obs_active()
     metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_ctmdp(mdp)
-    if ins.enabled:
-        lowering_s = time.perf_counter() - lowering_start
-        if metrics is not None:
-            metrics.histogram(
-                "profile.solver.lowering_s", profiling=True
-            ).observe(lowering_s)
-            metrics.counter("solver.policy_iteration.solves").inc()
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()  # first-listed action per state
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    # Bordered evaluation system, allocated once: only the top-left G
-    # block and the -c right-hand side change between rounds. Assembled
-    # from the canonical (exponent-normalized) arrays so that extreme
-    # rate magnitudes never reach the factorization and power-of-two
-    # rescalings of the model solve bit-identically; the gain is mapped
-    # back by the exact inverse shift, the bias is scale-invariant.
-    g_can, c_can, shift = comp.canonical()
-    a = np.zeros((n + 1, n + 1))
-    a[:n, n] = -1.0
-    a[n, reference_state] = 1.0
-    b = np.zeros(n + 1)
-    # Per-pair row maxima, computed once: ``max |a_ij|`` of any round's
-    # bordered system is the selected rows' maximum or the unit border
-    # entries, so the guardrail acceptance scale costs O(n) per solve
-    # instead of two O(n^2) scans.
-    row_inf = np.max(np.abs(g_can), axis=1, initial=0.0)
-
-    def solve_rows(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        a[:n, :n] = g_can[rows]
-        np.negative(c_can[rows], out=b[:n])
-        solution = solve_with_fallback(
-            a, b, what="policy evaluation system",
-            context={"reference_state": reference_state},
-            a_max=max(1.0, float(np.max(row_inf[rows]))),
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
-    started = time.perf_counter()
-    cycles = _CycleDetector()
-    gain_history: List[float] = []
-    if ins.enabled:
-        sweep_start = time.perf_counter()
-    gain, bias = solve_rows(sel)
-    gain_history.append(gain)
-    series = _convergence_series(metrics) if metrics is not None else None
-    if series is not None:
-        series.append(
-            backend="compiled",
-            iteration=0,
-            gain=gain,
-            residual=None,
-            policy_changes=None,
-            sweep_s=time.perf_counter() - sweep_start,
-        )
-    cycles.check(sel.tobytes(), 0, gain_history, None)
-    test_values = np.empty(comp.n_pairs)
+    solver = lower(mdp, tier, metrics)
+    if metrics is not None:
+        metrics.counter("solver.policy_iteration.solves").inc()
+    n = solver.n_states
+    evaluate = solver.evaluator(reference_state, reuse)
+    sel = solver.initial_selection(initial_policy)
     # The sweep runs on canonical-unit test quantities, so the
     # original-unit improvement threshold gets the same exact exponent
     # shift (plus the rate_scale of a repaired model). Both factors are
     # powers of two for every model this library builds, making the
     # displacement decisions bit-identical to a stored-unit sweep --
     # and, for unscaled models, to the unnormalized implementation.
-    atol_can = float(np.ldexp(atol * comp.rate_scale, -shift))
-    with ins.span("policy_iteration", backend="compiled", n_states=n) as span:
-        for iteration in range(1, max_iterations + 1):
-            _check_budget(started, time_budget_s, iteration, gain_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-                previous_sel = sel
-                previous_gain = gain
-            np.matmul(g_can, bias, out=test_values)
-            np.add(test_values, c_can, out=test_values)
-            sel, changed = comp.improve(test_values, sel, atol_can)
-            if changed:
-                cycles.check(
-                    sel.tobytes(), iteration, gain_history,
-                    functools.partial(_rows_payload, comp, sel),
-                )
-                gain, bias = solve_rows(sel)
-            # An unchanged policy selects the same rows, so re-solving would
-            # reproduce the previous (gain, bias) bit-for-bit -- reuse them.
-            gain_history.append(gain)
-            if series is not None:
-                series.append(
-                    backend="compiled",
-                    iteration=iteration,
-                    gain=gain,
-                    residual=abs(gain - previous_gain),
-                    policy_changes=int(np.count_nonzero(sel != previous_sel)),
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if not changed:
-                from repro.markov.generator import stationary_distribution
-
-                if ins.enabled:
-                    span.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.policy_iteration.iterations"
-                        ).observe(iteration)
-                    logger.debug(
-                        "policy iteration converged: %d states, %d rounds, "
-                        "gain %.6g",
-                        n, iteration, gain,
-                    )
-                return PolicyIterationResult(
-                    policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
-                    gain=gain,
-                    bias=bias,
-                    stationary=stationary_distribution(
-                        comp.generator[sel], validate=False
-                    ),
-                    iterations=iteration,
-                    gain_history=gain_history,
-                )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "gain_history": gain_history[-10:],
-            "policy": _rows_payload(comp, sel),
-        },
+    atol_can = float(
+        np.ldexp(atol * solver.rate_scale, -solver.canonical_shift)
     )
-
-
-def _policy_iteration_sparse(
-    mdp,
-    initial_policy: Optional[Policy],
-    max_iterations: int,
-    atol: float,
-    reference_state: int,
-    time_budget_s: "Optional[float]" = None,
-    reuse: bool = True,
-) -> PolicyIterationResult:
-    """Policy iteration over the CSR lowering.
-
-    Identical round structure to the compiled path -- canonical-unit
-    bordered evaluation system, incumbent-atol improvement sweeps,
-    stationary solve deferred to convergence -- but the system is
-    assembled as a sparse block matrix each round and solved through the
-    :mod:`repro.ctmdp.sparse` direct/Krylov ladder, and the sweep's test
-    quantities come from one sparse matvec.
-
-    With ``reuse`` (default), intermediate evaluations run through the
-    :class:`repro.ctmdp.reuse.BorderedSystemCache` ladder -- in-place
-    CSR row surgery instead of per-round re-lowering, and stale-LU
-    preconditioned GMRES instead of per-round refactorization. Reused
-    solves only steer the improvement trajectory: the converged policy
-    is always re-evaluated through the standard ladder, so the returned
-    gain/bias/stationary are bit-identical to a ``reuse=False`` solve
-    of the same converged policy (DESIGN §12).
-    """
-    import scipy.sparse as sp
-
-    from repro.errors import InvalidPolicyError
-    from repro.ctmdp.sparse import (
-        compile_sparse_ctmdp,
-        solve_sparse_with_fallback,
-        sparse_stationary_distribution,
-    )
-
-    ins = obs_active()
-    metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_sparse_ctmdp(mdp)
-    if ins.enabled:
-        lowering_s = time.perf_counter() - lowering_start
-        if metrics is not None:
-            metrics.histogram(
-                "profile.solver.lowering_s", profiling=True
-            ).observe(lowering_s)
-            metrics.counter("solver.policy_iteration.solves").inc()
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()  # first-listed action per state
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    g_can, c_can, shift = comp.canonical()
-    # Constant blocks of the bordered system: the -1 gain column and the
-    # reference row; only the selected generator rows and the -c right-
-    # hand side change between rounds.
-    gain_col = sp.csr_array((np.full(n, -1.0), (np.arange(n), np.zeros(n, int))),
-                            shape=(n, 1))
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
-    b = np.zeros(n + 1)
-    # Per-pair row maxima of the canonical generator, computed once from
-    # the CSR data: the guardrail acceptance scale of any round's system.
-    coo = g_can.tocoo()
-    row_inf = np.zeros(comp.n_pairs)
-    np.maximum.at(row_inf, coo.row, np.abs(coo.data))
-
-    def solve_rows(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        a = sp.block_array(
-            [[g_can[rows], gain_col], [ref_row, None]], format="csc"
-        )
-        np.negative(c_can[rows], out=b[:n])
-        solution = solve_sparse_with_fallback(
-            a, b, what="policy evaluation system",
-            context={"reference_state": reference_state},
-            a_max=max(1.0, float(np.max(row_inf[rows]))),
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
-    reuse_cache = None
-    if reuse:
-        from repro.ctmdp.reuse import BorderedSystemCache
-
-        reuse_cache = BorderedSystemCache(g_can, n, reference_state)
-
-    def solve_rows_reused(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        np.negative(c_can[rows], out=b[:n])
-        solution = reuse_cache.solve(
-            rows, b, max(1.0, float(np.max(row_inf[rows])))
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
     started = time.perf_counter()
     cycles = _CycleDetector()
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
-    # The initial evaluation always runs the standard ladder so the
-    # reuse path and a cold solve share their starting point exactly;
-    # `exact` tracks whether the current (gain, bias) came off it.
-    gain, bias = solve_rows(sel)
-    exact = True
+    # The initial evaluation is always cold, so reused and cold solves
+    # share their starting point exactly.
+    gain, bias, exact = evaluate(sel)
     gain_history.append(gain)
     series = _convergence_series(metrics) if metrics is not None else None
     if series is not None:
         series.append(
-            backend="sparse",
+            backend=tier,
             iteration=0,
             gain=gain,
             residual=None,
@@ -520,31 +272,26 @@ def _policy_iteration_sparse(
             sweep_s=time.perf_counter() - sweep_start,
         )
     cycles.check(sel.tobytes(), 0, gain_history, None)
-    atol_can = float(np.ldexp(atol * comp.rate_scale, -shift))
-    with ins.span("policy_iteration", backend="sparse", n_states=n) as span:
+    with ins.span("policy_iteration", backend=tier, n_states=n) as span:
         for iteration in range(1, max_iterations + 1):
             _check_budget(started, time_budget_s, iteration, gain_history)
             if ins.enabled:
                 sweep_start = time.perf_counter()
                 previous_sel = sel
                 previous_gain = gain
-            test_values = g_can @ bias
-            test_values += c_can
-            sel, changed = comp.improve(test_values, sel, atol_can)
+            sel, changed = solver.improve_on(bias, sel, atol_can)
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    functools.partial(_rows_payload, comp, sel),
+                    functools.partial(solver.selection_payload, sel),
                 )
-                if reuse_cache is not None:
-                    gain, bias = solve_rows_reused(sel)
-                    exact = False
-                else:
-                    gain, bias = solve_rows(sel)
+                gain, bias, exact = evaluate(sel, warm=True)
+            # An unchanged policy selects the same rows, so re-solving would
+            # reproduce the previous (gain, bias) bit-for-bit -- reuse them.
             gain_history.append(gain)
             if series is not None:
                 series.append(
-                    backend="sparse",
+                    backend=tier,
                     iteration=iteration,
                     gain=gain,
                     residual=abs(gain - previous_gain),
@@ -553,13 +300,7 @@ def _policy_iteration_sparse(
                 )
             if not changed:
                 if not exact:
-                    # Reused solves hold the ladder's residual tolerance
-                    # but not the standard rung's exact bit pattern; the
-                    # converged policy's returned evaluation must be the
-                    # one a cold solve would produce, so re-run it
-                    # through the standard ladder (cold solves obtain
-                    # their final values from this same call).
-                    gain, bias = solve_rows(sel)
+                    gain, bias, _ = evaluate(sel)
                     gain_history[-1] = gain
                     if metrics is not None:
                         metrics.counter(
@@ -577,12 +318,10 @@ def _policy_iteration_sparse(
                         n, iteration, gain,
                     )
                 return PolicyIterationResult(
-                    policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
+                    policy=solver.selection_policy(mdp, sel),
                     gain=gain,
                     bias=bias,
-                    stationary=sparse_stationary_distribution(
-                        comp.generator[sel]
-                    ),
+                    stationary=solver.stationary(sel),
                     iterations=iteration,
                     gain_history=gain_history,
                 )
@@ -591,8 +330,9 @@ def _policy_iteration_sparse(
         diagnostics={
             "reason": "max_iterations_exhausted",
             "iteration": max_iterations,
+            "backend": tier,
             "gain_history": gain_history[-10:],
-            "policy": _rows_payload(comp, sel),
+            "policy": solver.selection_payload(sel),
         },
     )
 
@@ -621,7 +361,8 @@ def policy_iteration(
     atol:
         Improvement threshold. An action only displaces the incumbent
         when it beats it by more than ``atol``, which both breaks ties
-        deterministically and guarantees termination.
+        deterministically and guarantees termination. Must be finite
+        and ``>= 0`` (``ValueError`` otherwise).
     reference_state:
         State whose bias is pinned to zero during evaluation.
     backend:
@@ -660,24 +401,13 @@ def policy_iteration(
         mapping carries the iteration count, recent gain history, and
         the offending policy.
     """
+    check_atol(atol)
     backend = resolve_backend(mdp, backend)
     mdp.validate()
-    if backend == "kron":
-        from repro.ctmdp.kron import policy_iteration_kron
-
-        return policy_iteration_kron(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s,
-        )
-    if backend == "sparse":
-        return _policy_iteration_sparse(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s, reuse=reuse,
-        )
-    if backend == "compiled":
-        return _policy_iteration_compiled(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s,
+    if backend != "reference":
+        return _policy_iteration_lowered(
+            mdp, backend, initial_policy, max_iterations, atol,
+            reference_state, time_budget_s, reuse,
         )
     policy = initial_policy if initial_policy is not None else _default_initial_policy(mdp)
     ins = obs_active()

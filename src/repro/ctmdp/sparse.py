@@ -35,7 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
-from repro.ctmdp.compiled import PairIndexedCTMDP, action_counts
+from repro.ctmdp.compiled import (
+    PairIndexedCTMDP,
+    action_counts,
+    check_reference_state,
+)
 from repro.ctmdp.model import CTMDP
 from repro.errors import InvalidModelError, NotIrreducibleError, SolverError
 from repro.markov.generator import DEFAULT_ATOL, canonical_shift
@@ -465,6 +469,7 @@ class SparseCTMDP(PairIndexedCTMDP):
         self._exit_rates.setflags(write=False)
         self._canonical = None
         self._entries = None
+        self._row_inf_cache = None
         self.cost.setflags(write=False)
 
     # -- constructors --------------------------------------------------------
@@ -631,9 +636,98 @@ class SparseCTMDP(PairIndexedCTMDP):
                 f"state {self.states[empty]!r} has no actions"
             )
 
-    def evaluation_rows(self, sel: np.ndarray):
-        """``(G, c)`` CSR rows and costs of the policy selecting *sel*."""
-        return self.generator[sel], self.cost[sel]
+    # -- solver-loop protocol: CSR evaluation -------------------------------
+
+    def evaluator(self, reference_state: int, reuse: bool = True):
+        """``solve(sel, warm=False, cost=None) -> (gain, bias, exact)``.
+
+        The bordered canonical system of the dense tier, assembled as a
+        sparse block matrix and solved through the direct/Krylov ladder
+        (:func:`solve_sparse_with_fallback`); the solve is exact.
+
+        With ``reuse`` a ``warm`` call runs the
+        :class:`repro.ctmdp.reuse.BorderedSystemCache` ladder instead --
+        in-place CSR row surgery and stale-LU preconditioned GMRES -- and
+        reports ``exact=False``: its result only steers policy
+        improvement, and the shared loop re-evaluates a converged policy
+        with a cold call, so returned values are bit-identical to a
+        ``reuse=False`` solve (DESIGN §12).
+        """
+        n = self.n_states
+        check_reference_state(reference_state, n)
+        g_can, _, shift = self.canonical()
+        # Constant blocks of the bordered system: the -1 gain column and
+        # the reference row.
+        gain_col = sp.csr_array(
+            (np.full(n, -1.0), (np.arange(n), np.zeros(n, int))), shape=(n, 1)
+        )
+        ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
+        b = np.zeros(n + 1)
+        row_inf = self._row_inf(shift)
+        cache = None
+        if reuse:
+            from repro.ctmdp.reuse import BorderedSystemCache
+
+            cache = BorderedSystemCache(g_can, n, reference_state)
+
+        def solve(sel: np.ndarray, warm: bool = False, cost=None):
+            np.negative(self._selected_cost(sel, cost, shift), out=b[:n])
+            a_max = max(1.0, float(np.max(row_inf[sel])))
+            exact = not (warm and cache is not None)
+            if exact:
+                a = sp.block_array(
+                    [[g_can[sel], gain_col], [ref_row, None]], format="csc"
+                )
+                solution = solve_sparse_with_fallback(
+                    a, b, what="policy evaluation system",
+                    context={"reference_state": reference_state},
+                    a_max=a_max,
+                )
+            else:
+                solution = cache.solve(sel, b, a_max)
+            return float(np.ldexp(solution[n], shift)), solution[:n], exact
+
+        return solve
+
+    def discounted_evaluator(self, discount: float):
+        """``solve(sel, warm=False) -> v`` of ``(a I - G) v = c`` through
+        the sparse ladder."""
+        eye = sp.eye_array(self.n_states, format="csr") * discount
+
+        def solve(sel: np.ndarray, warm: bool = False) -> np.ndarray:
+            return solve_sparse_with_fallback(
+                eye - self.generator[sel], self.cost[sel],
+                what="discounted evaluation system",
+                context={"discount": discount},
+            )
+
+        return solve
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy selecting rows *sel*."""
+        return sparse_stationary_distribution(self.generator[sel])
+
+    def uniformized_transition(self, lam: float):
+        """``(P, n)`` CSR rows of ``P = I + G/lam``: the generator data
+        scaled, the identity entries folded in through a COO round-trip
+        (duplicate entries sum on conversion, landing on the diagonals)."""
+        coo = self.generator.tocoo()
+        return sp.coo_array(
+            (
+                np.concatenate([coo.data / lam, np.ones(self.n_pairs)]),
+                (
+                    np.concatenate([coo.row, np.arange(self.n_pairs)]),
+                    np.concatenate([coo.col, self.pair_state]),
+                ),
+            ),
+            shape=self.generator.shape,
+        ).tocsr()
+
+    def _stored_row_inf(self) -> np.ndarray:
+        coo = self.generator.tocoo()
+        row_inf = np.zeros(self.n_pairs)
+        np.maximum.at(row_inf, coo.row, np.abs(coo.data))
+        return row_inf
 
     def max_exit_rate(self) -> float:
         if self.n_pairs == 0:  # pragma: no cover - models have >= 1 pair

@@ -18,6 +18,8 @@ ablation bench.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
@@ -25,10 +27,10 @@ from typing import Hashable, List, Optional
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
+from repro.ctmdp.policy_iteration import _check_budget
 from repro.ctmdp.uniformization import APERIODICITY_SLACK, UniformizedMDP, uniformize_ctmdp
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
@@ -88,26 +90,11 @@ def _sweep(uni: UniformizedMDP, w: np.ndarray) -> "tuple[np.ndarray, list]":
     return new_w, greedy
 
 
-def _budget_error(
-    started: float, time_budget_s: "Optional[float]", iteration: int,
-    span_history: "List[float]",
-) -> None:
-    """Raise a structured SolverError when the wall-clock budget is spent."""
-    if time_budget_s is None:
-        return
-    elapsed = time.perf_counter() - started
-    if elapsed > time_budget_s:
-        raise SolverError(
-            f"relative value iteration exceeded its wall-clock budget "
-            f"({elapsed:.3f}s > {time_budget_s:g}s) after {iteration} sweeps",
-            diagnostics={
-                "reason": "time_budget_exceeded",
-                "iteration": iteration,
-                "elapsed_s": elapsed,
-                "time_budget_s": time_budget_s,
-                "span_history": span_history[-10:],
-            },
-        )
+#: The shared wall-clock guard, worded for value-iteration sweeps.
+_check_sweep_budget = functools.partial(
+    _check_budget, what="relative value iteration", rounds="sweeps",
+    history_key="span_history",
+)
 
 
 def _nonconvergence_error(
@@ -125,31 +112,29 @@ def _nonconvergence_error(
     )
 
 
-def _relative_value_iteration_compiled(
-    mdp: CTMDP,
+def _relative_value_iteration_lowered(
+    mdp,
+    tier: str,
     span_tolerance: float,
     max_iterations: int,
     uniformization_rate: Optional[float],
-    time_budget_s: "Optional[float]" = None,
+    time_budget_s: "Optional[float]",
 ) -> ValueIterationResult:
-    """Vectorized relative value iteration over the compiled arrays.
+    """Relative value iteration on a lowered tier.
 
-    Uniformizes in place -- ``P = I + G / Lambda``, per-step cost
-    ``c / Lambda`` -- then runs whole-state-space Bellman backups as one
-    matrix-vector product per sweep.
+    The one loop behind ``compiled``/``sparse``/``kron``: the tier
+    object supplies one uniformized Bellman backup per sweep
+    (``P = I + G / Lambda``, per-step cost ``c / Lambda``, first-wins
+    greedy) and the greedy policy's rendering; the loop owns the
+    uniformization rate, span stopping, budget and telemetry.
     """
     ins = obs_active()
     metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_ctmdp(mdp)
-    if ins.enabled and metrics is not None:
-        metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
-            time.perf_counter() - lowering_start
-        )
+    solver = lower(mdp, tier, metrics)
+    if metrics is not None:
         metrics.counter("solver.value_iteration.solves").inc()
     series = _convergence_series(metrics) if metrics is not None else None
-    max_rate = comp.max_exit_rate()
+    max_rate = solver.max_exit_rate()
     if uniformization_rate is None:
         lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
     else:
@@ -158,26 +143,23 @@ def _relative_value_iteration_compiled(
             raise ValueError(
                 f"uniformization rate {lam:g} below maximal exit rate {max_rate:g}"
             )
-    transition = comp.generator / lam
-    transition[np.arange(comp.n_pairs), comp.pair_state] += 1.0
-    step_cost = comp.cost / lam
-    n = comp.n_states
+    backup = solver.uniformized_backup(lam)
+    n = solver.n_states
     w = np.zeros(n)
     started = time.perf_counter()
     span_history: List[float] = []
-    with ins.span("value_iteration", backend="compiled", n_states=n) as tspan:
+    with ins.span("value_iteration", backend=tier, n_states=n) as tspan:
         for iteration in range(1, max_iterations + 1):
-            _budget_error(started, time_budget_s, iteration, span_history)
+            _check_sweep_budget(started, time_budget_s, iteration, span_history)
             if ins.enabled:
                 sweep_start = time.perf_counter()
-            values = step_cost + transition @ w
-            new_w, greedy_cols = comp.greedy(values)
+            new_w, greedy = backup(w)
             diff = new_w - w
             span = float(diff.max() - diff.min())
             span_history.append(span)
             if series is not None:
                 series.append(
-                    backend="compiled",
+                    backend=tier,
                     iteration=iteration,
                     span=span,
                     sweep_s=time.perf_counter() - sweep_start,
@@ -186,13 +168,6 @@ def _relative_value_iteration_compiled(
             w = new_w - new_w[0]
             if span < span_tolerance:
                 gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                policy = Policy._trusted(
-                    mdp,
-                    {
-                        state: comp.actions[i][greedy_cols[i]]
-                        for i, state in enumerate(comp.states)
-                    },
-                )
                 if ins.enabled:
                     tspan.attrs.update(iterations=iteration, gain=gain)
                     if metrics is not None:
@@ -205,111 +180,9 @@ def _relative_value_iteration_compiled(
                         n, iteration, gain,
                     )
                 return ValueIterationResult(
-                    policy=policy,
+                    policy=solver.selection_policy(mdp, greedy),
                     gain=gain,
-                    values=w.copy(),
-                    iterations=iteration,
-                    span_history=span_history,
-                )
-    raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
-
-
-def _relative_value_iteration_sparse(
-    mdp,
-    span_tolerance: float,
-    max_iterations: int,
-    uniformization_rate: Optional[float],
-    time_budget_s: "Optional[float]" = None,
-) -> ValueIterationResult:
-    """Relative value iteration over the CSR lowering.
-
-    Same uniformization and sweep semantics as the compiled path -- the
-    uniformized transition matrix ``P = I + G/Lambda`` is built once as
-    a ``(pairs, states)`` CSR matrix (one O(nnz) pass) and each Bellman
-    backup is a single sparse matvec plus the shared first-wins greedy
-    reduction.
-    """
-    import scipy.sparse as sp
-
-    from repro.ctmdp.sparse import compile_sparse_ctmdp
-
-    ins = obs_active()
-    metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_sparse_ctmdp(mdp)
-    if ins.enabled and metrics is not None:
-        metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
-            time.perf_counter() - lowering_start
-        )
-        metrics.counter("solver.value_iteration.solves").inc()
-    series = _convergence_series(metrics) if metrics is not None else None
-    max_rate = comp.max_exit_rate()
-    if uniformization_rate is None:
-        lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
-    else:
-        lam = float(uniformization_rate)
-        if lam < max_rate:
-            raise ValueError(
-                f"uniformization rate {lam:g} below maximal exit rate {max_rate:g}"
-            )
-    # P = I + G/Lambda in pair-indexed CSR form: scale the generator
-    # data and fold the +1 identity entries in through a COO round-trip
-    # (duplicate entries sum on conversion, landing on the diagonals).
-    coo = comp.generator.tocoo()
-    transition = sp.coo_array(
-        (
-            np.concatenate([coo.data / lam, np.ones(comp.n_pairs)]),
-            (
-                np.concatenate([coo.row, np.arange(comp.n_pairs)]),
-                np.concatenate([coo.col, comp.pair_state]),
-            ),
-        ),
-        shape=comp.generator.shape,
-    ).tocsr()
-    step_cost = comp.cost / lam
-    n = comp.n_states
-    w = np.zeros(n)
-    started = time.perf_counter()
-    span_history: List[float] = []
-    with ins.span("value_iteration", backend="sparse", n_states=n) as tspan:
-        for iteration in range(1, max_iterations + 1):
-            _budget_error(started, time_budget_s, iteration, span_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            values = step_cost + transition @ w
-            new_w, greedy_cols = comp.greedy(values)
-            diff = new_w - w
-            span = float(diff.max() - diff.min())
-            span_history.append(span)
-            if series is not None:
-                series.append(
-                    backend="sparse",
-                    iteration=iteration,
-                    span=span,
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            # Renormalize to keep the values bounded (relative VI).
-            w = new_w - new_w[0]
-            if span < span_tolerance:
-                gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                policy = Policy._trusted(
-                    mdp,
-                    {
-                        state: comp.actions[i][greedy_cols[i]]
-                        for i, state in enumerate(comp.states)
-                    },
-                )
-                if ins.enabled:
-                    tspan.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.value_iteration.iterations"
-                        ).observe(iteration)
-                return ValueIterationResult(
-                    policy=policy,
-                    gain=gain,
-                    values=w.copy(),
+                    values=w,
                     iterations=iteration,
                     span_history=span_history,
                 )
@@ -333,7 +206,8 @@ def relative_value_iteration(
     span_tolerance:
         Stop when ``span(w_{k+1} - w_k) < span_tolerance``; the gain
         estimate is then accurate to within the tolerance times the
-        uniformization rate.
+        uniformization rate. Must be finite and positive (``ValueError``
+        otherwise).
     max_iterations:
         Safety bound.
     uniformization_rate:
@@ -358,25 +232,16 @@ def relative_value_iteration(
         wall-clock budget runs out; ``diagnostics`` carries the sweep
         count and recent span history.
     """
+    if not 0.0 < span_tolerance < math.inf:
+        raise ValueError(
+            f"span_tolerance must be finite and positive, got {span_tolerance!r}"
+        )
     backend = resolve_backend(mdp, backend)
-    if backend == "kron":
-        from repro.ctmdp.kron import relative_value_iteration_kron
-
-        return relative_value_iteration_kron(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
-            time_budget_s,
-        )
-    if backend == "sparse":
+    if backend != "reference":
         mdp.validate()
-        return _relative_value_iteration_sparse(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
-            time_budget_s,
-        )
-    if backend == "compiled":
-        mdp.validate()
-        return _relative_value_iteration_compiled(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
-            time_budget_s,
+        return _relative_value_iteration_lowered(
+            mdp, backend, span_tolerance, max_iterations,
+            uniformization_rate, time_budget_s,
         )
     uni = uniformize_ctmdp(mdp, rate=uniformization_rate)
     ins = obs_active()
@@ -389,7 +254,7 @@ def relative_value_iteration(
     started = time.perf_counter()
     span_history: List[float] = []
     for iteration in range(1, max_iterations + 1):
-        _budget_error(started, time_budget_s, iteration, span_history)
+        _check_sweep_budget(started, time_budget_s, iteration, span_history)
         if ins.enabled:
             sweep_start = time.perf_counter()
         new_w, greedy = _sweep(uni, w)

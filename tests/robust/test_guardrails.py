@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ctmdp.discounted import discounted_policy_iteration
+from repro.ctmdp.kron import KroneckerCTMDP
 from repro.ctmdp.policy import evaluate_policy
 from repro.ctmdp.policy_iteration import _CycleDetector, policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
@@ -17,6 +19,17 @@ from repro.robust.guardrails import (
     solve_with_fallback,
     system_diagnostics,
 )
+
+
+#: Every solver tier; the lowered three share one loop per algorithm.
+TIERS = ["reference", "compiled", "sparse", "kron"]
+
+
+def _on_tier(mdp, tier):
+    """``(model, backend)`` running the dict model *mdp* on *tier*."""
+    if tier == "kron":
+        return KroneckerCTMDP.from_ctmdp(mdp), "kron"
+    return mdp, tier
 
 
 class TestSolveWithFallback:
@@ -136,23 +149,28 @@ class TestPolicyIterationWithFallback:
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
-    def test_policy_iteration_time_budget(self, paper_mdp, backend):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_policy_iteration_time_budget(self, paper_mdp, tier):
+        model, backend = _on_tier(paper_mdp, tier)
         with pytest.raises(SolverError) as excinfo:
-            policy_iteration(paper_mdp, backend=backend, time_budget_s=0.0)
+            policy_iteration(model, backend=backend, time_budget_s=0.0)
         diag = excinfo.value.diagnostics
         assert diag["reason"] == "time_budget_exceeded"
         assert diag["iteration"] == 1
         assert diag["elapsed_s"] > 0.0
         assert len(diag["gain_history"]) == 1
 
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
-    def test_value_iteration_time_budget(self, paper_mdp, backend):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_value_iteration_time_budget(self, paper_mdp, tier):
+        model, backend = _on_tier(paper_mdp, tier)
         with pytest.raises(SolverError) as excinfo:
             relative_value_iteration(
-                paper_mdp, backend=backend, time_budget_s=0.0
+                model, backend=backend, time_budget_s=0.0
             )
-        assert excinfo.value.diagnostics["reason"] == "time_budget_exceeded"
+        diag = excinfo.value.diagnostics
+        assert diag["reason"] == "time_budget_exceeded"
+        assert diag["iteration"] == 1
+        assert diag["span_history"] == []
 
     def test_no_budget_means_no_limit(self, paper_mdp):
         assert policy_iteration(paper_mdp, time_budget_s=None).iterations >= 1
@@ -172,6 +190,83 @@ class TestNonConvergenceDiagnostics:
         diag = excinfo.value.diagnostics
         assert diag["reason"] == "max_iterations_exhausted"
         assert len(diag["span_history"]) == 2
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_policy_iteration_exhaustion_payload_on_tier(
+        self, paper_mdp, tier
+    ):
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(SolverError) as excinfo:
+            policy_iteration(model, backend=backend, max_iterations=0)
+        diag = excinfo.value.diagnostics
+        assert diag["reason"] == "max_iterations_exhausted"
+        # The offending (here: initial) policy, rendered the same way on
+        # every tier.
+        initial = {s: paper_mdp.actions(s)[0] for s in paper_mdp.states}
+        assert diag["policy"] == [
+            [repr(s), repr(a)] for s, a in initial.items()
+        ]
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_value_iteration_exhaustion_payload_on_tier(
+        self, paper_mdp, tier
+    ):
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(SolverError) as excinfo:
+            relative_value_iteration(model, backend=backend, max_iterations=2)
+        diag = excinfo.value.diagnostics
+        assert diag["reason"] == "max_iterations_exhausted"
+        assert len(diag["span_history"]) == 2
+
+
+class TestInputValidation:
+    """Tolerances and discounts that would silently corrupt a solve are
+    rejected up front, identically on every tier."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1e-9])
+    def test_policy_iteration_rejects_bad_atol(self, paper_mdp, tier, atol):
+        # A NaN atol used to stop after one round with the initial
+        # policy (gain 40.17 on the paper model; the optimum is 10.89).
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(ValueError, match="atol"):
+            policy_iteration(model, backend=backend, atol=atol)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1e-9])
+    def test_discounted_rejects_bad_atol(self, paper_mdp, tier, atol):
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(ValueError, match="atol"):
+            discounted_policy_iteration(model, 0.1, backend=backend, atol=atol)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "discount", [float("nan"), float("inf"), 0.0, -0.1]
+    )
+    def test_discounted_rejects_bad_discount(self, paper_mdp, tier, discount):
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(ValueError, match="discount"):
+            discounted_policy_iteration(model, discount, backend=backend)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "tolerance", [float("nan"), float("inf"), 0.0, -1e-10]
+    )
+    def test_value_iteration_rejects_bad_span_tolerance(
+        self, paper_mdp, tier, tolerance
+    ):
+        model, backend = _on_tier(paper_mdp, tier)
+        with pytest.raises(ValueError, match="span_tolerance"):
+            relative_value_iteration(
+                model, backend=backend, span_tolerance=tolerance
+            )
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_zero_atol_is_accepted(self, paper_mdp, tier):
+        model, backend = _on_tier(paper_mdp, tier)
+        reference = policy_iteration(paper_mdp)
+        result = policy_iteration(model, backend=backend, atol=0.0)
+        assert result.gain == pytest.approx(reference.gain, rel=1e-9)
 
 
 class TestCycleDetection:
@@ -219,6 +314,37 @@ class TestCycleDetection:
         expected = [[repr(s), repr(a)] for s, a in assignment.items()][:200]
         assert len(expected) == 200 < mdp.n_states
         assert diag["policy"] == expected
+
+    def test_forced_kron_cycle_renders_the_policy_payload(self, monkeypatch):
+        """The Kronecker tier runs the same loop, so a forced cycle
+        carries the same lazily rendered 200-row payload."""
+        from repro.dpm.presets import paper_system
+
+        mdp = paper_system(capacity=60).build_ctmdp(1.0)  # 243 states
+        kmdp = KroneckerCTMDP.from_ctmdp(mdp)
+        visited = []
+
+        def flip(self, values, sel, atol, canonical=True):
+            # Toggle the first multi-action state between its first two
+            # available actions: A -> B -> A revisits the initial policy.
+            i = int(np.flatnonzero(self.available.sum(axis=0) >= 2)[0])
+            first, second = np.flatnonzero(self.available[:, i])[:2]
+            other = sel.copy()
+            other[i] = second if sel[i] == first else first
+            visited.append(sel.copy())
+            return other, True
+
+        monkeypatch.setattr(KroneckerCTMDP, "improve_on", flip)
+        with pytest.raises(SolverError) as excinfo:
+            policy_iteration(kmdp)
+        diag = excinfo.value.diagnostics
+        assert diag["reason"] == "policy_cycle"
+        assert (diag["iteration"], diag["first_seen"]) == (2, 0)
+        initial = {s: mdp.actions(s)[0] for s in mdp.states}
+        expected = [[repr(s), repr(a)] for s, a in initial.items()][:200]
+        assert len(expected) == 200 < mdp.n_states
+        assert diag["policy"] == expected
+        assert np.array_equal(visited[0], kmdp.initial_selection(None))
 
     def test_healthy_solve_never_trips_the_detector(self, paper_mdp):
         # Converging PI re-selects its final policy on the last round;
