@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro import errors
@@ -963,10 +964,12 @@ def _dispatch(args: argparse.Namespace, argv: "Optional[Sequence[str]]") -> int:
         write_trace,
     )
 
+    start = time.perf_counter()
     try:
         with instrument(metrics=registry, tracer=tracer):
             status = args.func(args)
     finally:
+        command_s = time.perf_counter() - start
         if profile_out:
             tracer.close()
     manifest = run_manifest(
@@ -980,7 +983,11 @@ def _dispatch(args: argparse.Namespace, argv: "Optional[Sequence[str]]") -> int:
         write_trace(tracer, args.trace_out, manifest=manifest)
         print(f"trace written to {args.trace_out}")
     if profile_out:
-        write_profile(tracer, profile_out, manifest=manifest)
+        # The command's own wall time, so a reader can check how much
+        # of it the span tree (whose total_s sums its roots) attributes.
+        write_profile(
+            tracer, profile_out, manifest={**manifest, "command_s": command_s}
+        )
         print(f"profile written to {profile_out}")
     return status
 

@@ -119,6 +119,23 @@ class ServiceProvider:
         np.fill_diagonal(self._ene, 0.0)
         self._self_switch_rate = float(self_switch_rate)
         self._index: Dict[str, int] = {m: i for i, m in enumerate(self._modes)}
+        # Per-mode Python floats: the simulator asks these on every event,
+        # and a dict hit is far cheaper than name -> index -> numpy scalar.
+        self._mu_of: Dict[str, float] = dict(zip(self._modes, self._mu.tolist()))
+        self._power_of: Dict[str, float] = dict(
+            zip(self._modes, self._power.tolist())
+        )
+        self._active_of: Dict[str, bool] = {
+            m: mu > 0.0 for m, mu in self._mu_of.items()
+        }
+        chi_rows, ene_rows = self._chi.tolist(), self._ene.tolist()
+        self._switch_time_of: Dict[Tuple[str, str], float] = {}
+        self._switch_energy_of: Dict[Tuple[str, str], float] = {}
+        for i, source in enumerate(self._modes):
+            for j, dest in enumerate(self._modes):
+                rate = self._self_switch_rate if i == j else chi_rows[i][j]
+                self._switch_time_of[source, dest] = 1.0 / rate
+                self._switch_energy_of[source, dest] = ene_rows[i][j]
 
     @classmethod
     def from_switching_times(
@@ -162,19 +179,30 @@ class ServiceProvider:
     def self_switch_rate(self) -> float:
         return self._self_switch_rate
 
+    def _unknown_mode(self, *modes: str) -> InvalidModelError:
+        """The error for the first of *modes* that names no mode."""
+        bad = next(m for m in modes if m not in self._index)
+        return InvalidModelError(f"unknown mode {bad!r}")
+
     def index_of(self, mode: str) -> int:
         try:
             return self._index[mode]
         except KeyError:
-            raise InvalidModelError(f"unknown mode {mode!r}") from None
+            raise self._unknown_mode(mode) from None
 
     def service_rate(self, mode: str) -> float:
         """``mu(s)``; zero for inactive modes."""
-        return float(self._mu[self.index_of(mode)])
+        try:
+            return self._mu_of[mode]
+        except KeyError:
+            raise self._unknown_mode(mode) from None
 
     def power_rate(self, mode: str) -> float:
         """``pow(s)`` in watts."""
-        return float(self._power[self.index_of(mode)])
+        try:
+            return self._power_of[mode]
+        except KeyError:
+            raise self._unknown_mode(mode) from None
 
     def switching_rate(self, source: str, dest: str) -> float:
         """``chi[source, dest]``; the self-switch stand-in on the diagonal."""
@@ -183,14 +211,23 @@ class ServiceProvider:
 
     def switching_time(self, source: str, dest: str) -> float:
         """Mean switch duration ``1 / chi``; ~0 for self-switches."""
-        return 1.0 / self.switching_rate(source, dest)
+        try:
+            return self._switch_time_of[source, dest]
+        except KeyError:
+            raise self._unknown_mode(source, dest) from None
 
     def switching_energy(self, source: str, dest: str) -> float:
         """``ene(source, dest)``; zero on the diagonal."""
-        return float(self._ene[self.index_of(source), self.index_of(dest)])
+        try:
+            return self._switch_energy_of[source, dest]
+        except KeyError:
+            raise self._unknown_mode(source, dest) from None
 
     def is_active(self, mode: str) -> bool:
-        return self.service_rate(mode) > 0.0
+        try:
+            return self._active_of[mode]
+        except KeyError:
+            raise self._unknown_mode(mode) from None
 
     @property
     def active_modes(self) -> Tuple[str, ...]:

@@ -56,7 +56,7 @@ import numpy as np
 from repro.ctmdp.model import CTMDP
 from repro.dpm import cost as cost_channels
 from repro.dpm.service_provider import ServiceProvider
-from repro.dpm.service_queue import QueueState, stable, transfer
+from repro.dpm.service_queue import STABLE, TRANSFER, QueueState, stable, transfer
 from repro.dpm.service_requestor import ServiceRequestor
 from repro.errors import InvalidModelError
 
@@ -91,8 +91,39 @@ class SystemState:
     mode: str
     queue: QueueState
 
+    @property
+    def key(self) -> "StateKey":
+        """The flat ``(mode, queue kind, queue index)`` lookup key."""
+        return (self.mode, self.queue.kind, self.queue.index)
+
+    @classmethod
+    def from_key(cls, key: "StateKey") -> "SystemState":
+        """The joint state a :attr:`key` tuple names."""
+        mode, kind, index = key
+        return cls(mode, QueueState(kind, index))
+
     def __repr__(self) -> str:
         return f"({self.mode},{self.queue!r})"
+
+
+#: A joint state as the flat ``(mode, queue kind, queue index)`` tuple
+#: that every policy table (simulated or served) is keyed by.
+StateKey = Tuple[str, str, int]
+
+
+def state_key(mode: str, in_transfer: bool, count: int, capacity: int) -> StateKey:
+    """The key of the modeled joint state an observation maps to.
+
+    ``count`` is the occupancy in a stable state and the waiting count
+    during a transfer, whose model index is ``waiting + 1`` (the state
+    ``q_{i -> i-1}`` holds ``i - 1`` waiting requests). Both clamp at the
+    capacity ``Q``: the physical queue can briefly hold ``Q`` waiting
+    requests during a transfer (the model's unspecified boundary), which
+    maps to the closest modeled state ``q_{Q -> Q-1}``.
+    """
+    if in_transfer:
+        return (mode, TRANSFER, min(count + 1, capacity))
+    return (mode, STABLE, min(count, capacity))
 
 
 class PowerManagedSystemModel:

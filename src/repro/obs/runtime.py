@@ -12,23 +12,28 @@ module-level :func:`active` context:
 
 Disabled (the default), ``active()`` returns the shared
 :data:`DISABLED` singleton whose ``enabled`` is ``False`` -- the guard
-is one global read plus one attribute check, measured at nanoseconds
-per event by ``benchmarks/test_bench_obs_overhead.py``. Hot loops hoist
-``active()`` once and keep per-event work behind ``enabled`` /
-``is not None`` checks.
+is one C-level :meth:`contextvars.ContextVar.get` plus one attribute
+check, measured at nanoseconds per event by
+``benchmarks/test_bench_obs_overhead.py``. Hot loops hoist ``active()``
+once and keep per-event work behind ``enabled`` / ``is not None``
+checks.
 
 :func:`instrument` activates a registry and/or tracer for a ``with``
 block and restores the previous context on exit (re-entrant; nested
-activations stack). Forked pool workers inherit the active context
-through the process image; :mod:`repro.sim.parallel` gives each worker
-a fresh registry under :func:`instrument` and merges the snapshots back
-into the parent's context in input order.
+activations stack). The activation belongs to the current
+:mod:`contextvars` context: asyncio tasks inherit it, and a thread sees
+it only when started under :func:`run_in_thread_context`. Forked pool
+workers inherit it through the process image; :mod:`repro.sim.parallel`
+gives each worker a fresh registry under :func:`instrument` and merges
+the snapshots back into the parent's context in input order.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -77,12 +82,17 @@ class Instrumentation:
 #: The permanent disabled context returned by :func:`active` by default.
 DISABLED = Instrumentation()
 
-_active: Instrumentation = DISABLED
+_ACTIVE: "contextvars.ContextVar[Instrumentation]" = contextvars.ContextVar(
+    "repro_obs_active", default=DISABLED
+)
+# Set, not just defaulted: ``get`` caches a value it finds in the
+# context, but looks a defaulted variable up again on every call.
+_ACTIVE.set(DISABLED)
 
-
-def active() -> Instrumentation:
-    """The currently active instrumentation (never ``None``)."""
-    return _active
+#: The currently active instrumentation (never ``None``). A bound C
+#: method rather than a Python function: the disabled guard is priced
+#: per simulated event, and a Python-level call costs twice as much.
+active: "Callable[[], Instrumentation]" = _ACTIVE.get
 
 
 @contextmanager
@@ -91,10 +101,18 @@ def instrument(
     tracer: "Optional[Tracer]" = None,
 ) -> "Iterator[Instrumentation]":
     """Activate *metrics*/*tracer* for the block; restores on exit."""
-    global _active
-    previous = _active
-    _active = Instrumentation(metrics=metrics, tracer=tracer)
+    ins = Instrumentation(metrics=metrics, tracer=tracer)
+    token = _ACTIVE.set(ins)
     try:
-        yield _active
+        yield ins
     finally:
-        _active = previous
+        _ACTIVE.reset(token)
+
+
+def run_in_thread_context(target: Callable[..., object]) -> Callable[..., object]:
+    """*target* bound to a copy of the caller's context, for a new thread.
+
+    A thread starts in an empty context, so without this it would see
+    :data:`DISABLED` even when started inside :func:`instrument`.
+    """
+    return functools.partial(contextvars.copy_context().run, target)

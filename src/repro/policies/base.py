@@ -31,9 +31,15 @@ from typing import Optional
 from repro.dpm.service_provider import ServiceProvider
 
 
-@dataclass(frozen=True)
+@dataclass
 class SystemView:
-    """Immutable snapshot of the system handed to the policy.
+    """Snapshot of the system handed to the policy.
+
+    A slotted record the simulator fills positionally from its own
+    fields, fresh for every invocation, and never reads back: a policy
+    may keep a view (or a :func:`dataclasses.replace` copy of it), and
+    nothing it does to one changes the simulation. Field order is the
+    positional contract.
 
     Attributes
     ----------
@@ -76,6 +82,11 @@ class SystemView:
     arrival_lost: bool
     provider: ServiceProvider
 
+    __slots__ = (
+        "time", "event", "mode", "switch_target", "in_transfer", "occupancy",
+        "waiting_count", "is_serving", "capacity", "arrival_lost", "provider",
+    )
+
     @property
     def is_idle(self) -> bool:
         """No requests anywhere in the system."""
@@ -84,7 +95,12 @@ class SystemView:
 
 @dataclass(frozen=True)
 class Decision:
-    """The policy's answer to one invocation."""
+    """The policy's answer to one invocation.
+
+    Frozen, so one instance may answer many invocations: the shared
+    plumbing returns :data:`NO_DECISION` or a memoized per-mode command
+    rather than building a fresh decision each time.
+    """
 
     command: Optional[str] = None
     recheck_after: Optional[float] = None

@@ -1,12 +1,13 @@
 """CTMDP-optimal power management (the paper's PM).
 
 :class:`OptimalCTMDPPolicy` executes a solved stationary policy on the
-joint SP x SQ state: the simulator's view is mapped to the model's
-:class:`~repro.dpm.system.SystemState` (stable or transfer) and the
-policy table supplies the mode command. Because the table covers every
-reachable joint state, the PM is purely reactive -- no timers -- and is
-invoked only on state changes: the *asynchronous* policy the paper
-advertises.
+joint SP x SQ state: the simulator's view is mapped to the flat
+``(mode, queue kind, queue index)`` key of the model's joint state
+(:func:`repro.dpm.system.state_key`, the same clamping rule the served
+:class:`~repro.serve.artifact.PolicyArtifact` uses) and the policy table
+supplies the mode command. Because the table covers every reachable
+joint state, the PM is purely reactive -- no timers -- and is invoked
+only on state changes: the *asynchronous* policy the paper advertises.
 
 :class:`AdaptiveCTMDPPolicy` adds the Section-III adaptivity remark:
 it estimates the arrival rate from a sliding window of inter-arrival
@@ -16,32 +17,50 @@ drifts.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union
+from bisect import bisect_right
+from typing import Dict, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.ctmdp.policy import Policy, RandomizedPolicy
 from repro.dpm.adaptive import AdaptivePolicySolver, AdaptiveRateEstimator
-from repro.dpm.service_queue import QueueState, stable, transfer
-from repro.dpm.system import PowerManagedSystemModel, SystemState
+from repro.dpm.system import (
+    PowerManagedSystemModel,
+    StateKey,
+    SystemState,
+    state_key,
+)
 from repro.errors import InvalidPolicyError
-from repro.policies.base import Decision, PowerManagementPolicy, SystemView
+from repro.policies.base import (
+    NO_DECISION,
+    Decision,
+    PowerManagementPolicy,
+    SystemView,
+)
 from repro.policies.helpers import command_if_needed
 
 
-def view_to_system_state(view: SystemView, capacity: int) -> SystemState:
-    """Map a simulator snapshot to the model's joint state.
+def view_key(view: SystemView, capacity: int) -> StateKey:
+    """The flat key of the modeled joint state a snapshot maps to."""
+    in_transfer = view.in_transfer
+    count = view.waiting_count if in_transfer else view.occupancy
+    return state_key(view.mode, in_transfer, count, capacity)
 
-    During a transfer the model index is ``waiting + 1`` (the state
-    ``q_{i -> i-1}`` holds ``i - 1`` waiting requests). The physical
-    queue can briefly hold ``Q`` waiting requests during a transfer
-    (the model's unspecified boundary); the lookup clamps to the
-    closest modeled state ``q_{Q -> Q-1}``.
+
+def choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF row ``Generator.choice(len(p), p=p)`` searches.
+
+    ``bisect_right(choice_cdf(p), rng.random())`` picks the same index
+    as ``rng.choice(len(p), p=p)`` and consumes the same one double, so
+    a sampler holding the row draws the stream ``choice`` would.
     """
-    if view.in_transfer:
-        index = min(view.waiting_count + 1, capacity)
-        queue: QueueState = transfer(index)
-    else:
-        queue = stable(min(view.occupancy, capacity))
-    return SystemState(view.mode, queue)
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _key_table(assignment: "Mapping[SystemState, str]") -> "Dict[StateKey, str]":
+    return {state.key: action for state, action in assignment.items()}
 
 
 class OptimalCTMDPPolicy(PowerManagementPolicy):
@@ -74,7 +93,7 @@ class OptimalCTMDPPolicy(PowerManagementPolicy):
             table = dict(policy)
         if not table:
             raise InvalidPolicyError("empty policy table")
-        self._table: Dict[SystemState, str] = dict(table)
+        self._table: Dict[StateKey, str] = _key_table(table)
         self._capacity = int(capacity)
         self._label = label
 
@@ -91,11 +110,10 @@ class OptimalCTMDPPolicy(PowerManagementPolicy):
 
     def lookup(self, state: SystemState) -> Optional[str]:
         """The table's action for *state*, ``None`` if unmapped."""
-        return self._table.get(state)
+        return self._table.get(state.key)
 
     def decide(self, view: SystemView) -> Decision:
-        state = view_to_system_state(view, self._capacity)
-        desired = self._table.get(state)
+        desired = self._table.get(view_key(view, self._capacity))
         return command_if_needed(view, desired)
 
 
@@ -135,20 +153,22 @@ class StochasticCTMDPPolicy(PowerManagementPolicy):
         seed: int = 0,
         label: Optional[str] = None,
     ) -> None:
-        import numpy as np
-
         self._policy = policy
         self._capacity = int(capacity)
         self._seed = int(seed)
         self._label = label
         self._rng = np.random.default_rng(self._seed)
-        # Per-entry sampling distributions: p_time(a) * exit_rate(a),
-        # normalized. Zero-probability actions are dropped.
-        self._dists: Dict[SystemState, "tuple[list, object]"] = {}
+        # Per-entry sampling rows: p_time(a) * exit_rate(a), normalized,
+        # zero-probability actions dropped; a randomized row keeps its
+        # ``choice_cdf``.
+        self._rows: Dict[StateKey, Tuple[List[str], Optional[List[float]]]] = {}
         mdp = policy.mdp
         for state in mdp.states:
             dist = policy.distribution(state)
             actions = [a for a, p in dist.items() if p > 0.0]
+            if len(actions) == 1:
+                self._rows[state.key] = (actions, None)
+                continue
             weights = np.array(
                 [dist[a] * float(mdp.data(state, a).rates.sum()) for a in actions]
             )
@@ -158,28 +178,25 @@ class StochasticCTMDPPolicy(PowerManagementPolicy):
                 # the time-weighted distribution as a fallback.
                 weights = np.array([dist[a] for a in actions])
                 total = weights.sum()
-            self._dists[state] = (actions, weights / total)
+            self._rows[state.key] = (actions, choice_cdf(weights / total))
 
     @property
     def name(self) -> str:
         return self._label if self._label is not None else "StochasticCTMDPPolicy"
 
     def reset(self) -> None:
-        import numpy as np
-
         self._rng = np.random.default_rng(self._seed)
 
     def decide(self, view: SystemView) -> Decision:
-        state = view_to_system_state(view, self._capacity)
-        entry = self._dists.get(state)
-        if entry is None:
-            return command_if_needed(view, None)
-        actions, probs = entry
-        if len(actions) == 1:
-            desired = actions[0]
-        else:
-            desired = actions[int(self._rng.choice(len(actions), p=probs))]
-        return command_if_needed(view, desired)
+        row = self._rows.get(view_key(view, self._capacity))
+        if row is None:
+            return NO_DECISION
+        actions, cdf = row
+        if cdf is None:
+            return command_if_needed(view, actions[0])
+        return command_if_needed(
+            view, actions[bisect_right(cdf, self._rng.random())]
+        )
 
 
 class AdaptiveCTMDPPolicy(PowerManagementPolicy):
@@ -204,7 +221,7 @@ class AdaptiveCTMDPPolicy(PowerManagementPolicy):
         self._estimator = estimator or AdaptiveRateEstimator()
         self._capacity = solver.base_model.capacity
         self._initial_rate = solver.base_model.requestor.rate
-        self._table_cache: Dict[int, Dict[SystemState, str]] = {}
+        self._table_cache: Dict[int, Dict[StateKey, str]] = {}
 
     @property
     def name(self) -> str:
@@ -237,7 +254,6 @@ class AdaptiveCTMDPPolicy(PowerManagementPolicy):
             table_policy = result.policy
             if isinstance(table_policy, RandomizedPolicy):
                 table_policy = table_policy.deterministic_rounding()
-            self._table_cache[key] = table_policy.as_dict()
-        state = view_to_system_state(view, self._capacity)
-        desired = self._table_cache[key].get(state)
+            self._table_cache[key] = _key_table(table_policy.as_dict())
+        desired = self._table_cache[key].get(view_key(view, self._capacity))
         return command_if_needed(view, desired)

@@ -104,6 +104,9 @@ class OracleIdlePolicy(PowerManagementPolicy):
         # Already down (or going down): schedule the pre-wake so the mean
         # wake-up completes as the request arrives.
         prewake_in = idle_period - self._wake_latency
-        if prewake_in <= 0:
+        # When the pre-wake timer fires, rounding can leave a remainder
+        # below one ulp of the clock; re-requesting it would fire again
+        # at the same instant forever. Wake within the epsilon instead.
+        if prewake_in <= 1e-9 * max(1.0, abs(view.time)):
             return command_if_needed(view, self.active_mode)
         return command_if_needed(view, None, recheck_after=prewake_in)

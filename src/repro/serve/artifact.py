@@ -41,8 +41,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.dpm.service_queue import QueueState, STABLE, TRANSFER
-from repro.dpm.system import PowerManagedSystemModel, SystemState
+from repro.dpm.system import PowerManagedSystemModel, SystemState, state_key
 from repro.errors import (
     ArtifactIntegrityError,
     ArtifactRejectedError,
@@ -261,19 +260,17 @@ class PolicyArtifact:
         """The commanded mode for a joint state, with boundary clamping.
 
         ``count`` is the occupancy for stable states and the waiting
-        count during a transfer; both clamp at the solved capacity,
-        mirroring :func:`repro.policies.optimal.view_to_system_state`.
-        Unknown modes or impossible (mode, transfer) combinations raise
-        a typed :class:`~repro.errors.ServeRequestError` -- the table
-        never guesses.
+        count during a transfer; both clamp at the solved capacity by
+        :func:`repro.dpm.system.state_key`, the rule the simulated
+        CTMDP policies use. Unknown modes or impossible (mode, transfer)
+        combinations raise a typed :class:`~repro.errors.ServeRequestError`
+        -- the table never guesses.
         """
         if count < 0:
             raise ServeRequestError(f"occupancy must be >= 0, got {count}")
-        if in_transfer:
-            key = (mode, TRANSFER, min(int(count) + 1, self.capacity))
-        else:
-            key = (mode, STABLE, min(int(count), self.capacity))
-        action = self._table.get(key)
+        action = self._table.get(
+            state_key(mode, in_transfer, int(count), self.capacity)
+        )
         if action is None:
             raise ServeRequestError(
                 f"no joint state for mode={mode!r}, "
@@ -285,8 +282,7 @@ class PolicyArtifact:
     def assignment(self) -> "Dict[SystemState, str]":
         """The policy table keyed by model :class:`SystemState` values."""
         return {
-            SystemState(mode, QueueState(kind, index)): action
-            for (mode, kind, index), action in self._table.items()
+            SystemState.from_key(key): action for key, action in self._table.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -325,7 +321,7 @@ def compile_artifact(
             raise ArtifactRejectedError(
                 f"solved policy misses model state {state!r}"
             )
-        states.append((state.mode, state.queue.kind, state.queue.index))
+        states.append(state.key)
         actions.append(str(action))
     metrics = {
         "average_power": result.metrics.average_power,

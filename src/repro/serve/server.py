@@ -42,6 +42,7 @@ from repro.dpm.service_queue import STABLE, TRANSFER
 from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, ReproError, ServeRequestError
 from repro.obs.runtime import active as obs_active
+from repro.obs.runtime import run_in_thread_context
 from repro.serve.artifact import ArtifactStore, PolicyArtifact, validate_artifact
 from repro.serve.supervisor import CircuitBreaker, ResolveReport, RetryPolicy, Supervisor
 
@@ -386,7 +387,7 @@ class ServingRuntime:
                     return None
                 self._resolving = True
             thread = threading.Thread(
-                target=self._resolve_and_install,
+                target=run_in_thread_context(self._resolve_and_install),
                 args=(rate,),
                 name="serve-adapt",
                 daemon=True,

@@ -41,6 +41,7 @@ from repro.dpm.adaptive import DriftDetector, solve_rated
 from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, ReproError
 from repro.obs.runtime import active as obs_active
+from repro.obs.runtime import run_in_thread_context
 from repro.serve.artifact import (
     ArtifactStore,
     PolicyArtifact,
@@ -305,7 +306,9 @@ class Supervisor:
                 out.put(("err", exc))
 
         thread = threading.Thread(
-            target=worker, name="serve-resolve", daemon=True
+            target=run_in_thread_context(worker),
+            name="serve-resolve",
+            daemon=True,
         )
         thread.start()
         try:

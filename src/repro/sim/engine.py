@@ -11,61 +11,75 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
+_INF = math.inf
 
-@dataclass
+
 class EventHandle:
     """A scheduled event; :meth:`cancel` prevents it from firing."""
 
-    time: float
-    kind: str
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "kind", "payload", "cancelled")
+
+    def __init__(self, time: float, kind: str, payload: Any = None) -> None:
+        self.time = time
+        self.kind = kind
+        self.payload = payload
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
+    def __repr__(self) -> str:
+        return (
+            f"EventHandle(time={self.time!r}, kind={self.kind!r}, "
+            f"payload={self.payload!r}, cancelled={self.cancelled})"
+        )
+
 
 class EventScheduler:
-    """Time-ordered event calendar with lazy cancellation."""
+    """Time-ordered event calendar with lazy cancellation.
+
+    ``now`` is the current simulation time (the time of the last popped
+    event); only :meth:`pop` advances it.
+    """
+
+    __slots__ = ("_heap", "_counter", "now")
 
     def __init__(self) -> None:
         self._heap: "List[Tuple[float, int, EventHandle]]" = []
         self._counter = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (time of the last popped event)."""
-        return self._now
+        self.now = 0.0
 
     def schedule_at(self, time: float, kind: str, payload: Any = None) -> EventHandle:
-        """Schedule an event at absolute *time* (must not be in the past)."""
-        if time < self._now:
+        """Schedule an event at absolute *time*: finite, not in the past."""
+        # One chained comparison rejects the past, NaN and +-inf alike.
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule {kind!r} at {time:g} before current time {self._now:g}"
+                f"cannot schedule {kind!r} at {time:g}: event times must be "
+                f"finite and not before the current time {self.now:g}"
             )
-        handle = EventHandle(time=time, kind=kind, payload=payload)
+        handle = EventHandle(time, kind, payload)
         heapq.heappush(self._heap, (time, next(self._counter), handle))
         return handle
 
     def schedule_after(self, delay: float, kind: str, payload: Any = None) -> EventHandle:
         """Schedule an event *delay* seconds from now."""
-        if delay < 0:
+        if not delay >= 0.0:
             raise SimulationError(f"delay must be non-negative, got {delay:g}")
-        return self.schedule_at(self._now + delay, kind, payload)
+        return self.schedule_at(self.now + delay, kind, payload)
 
     def pop(self) -> Optional[EventHandle]:
         """Advance to and return the next live event; ``None`` when empty."""
-        while self._heap:
-            time, _, handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, handle = heapq.heappop(heap)
             if handle.cancelled:
                 continue
-            self._now = time
+            self.now = time
             return handle
         return None
 

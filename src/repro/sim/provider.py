@@ -41,6 +41,11 @@ class SimulatedProvider:
     a single active mode (the paper's setup) the case never arises.
     """
 
+    __slots__ = (
+        "description", "mode", "switch_target", "is_serving",
+        "service_distribution",
+    )
+
     def __init__(
         self,
         description: ServiceProvider,
@@ -58,14 +63,6 @@ class SimulatedProvider:
             else ExponentialService()
         )
 
-    @property
-    def is_switching(self) -> bool:
-        return self.switch_target is not None
-
-    @property
-    def is_active(self) -> bool:
-        return self.description.is_active(self.mode)
-
     def power_now(self) -> float:
         """Instantaneous power draw (mode power; the model charges the
         source mode's power during a switch)."""
@@ -75,7 +72,7 @@ class SimulatedProvider:
         """Exponential switch latency to *target* (0 for a self-switch)."""
         if target == self.mode:
             return 0.0
-        return float(rng.exponential(self.description.switching_time(self.mode, target)))
+        return rng.exponential(self.description.switching_time(self.mode, target))
 
     def draw_service_time(self, rng: np.random.Generator) -> float:
         """Service duration at the current mode's mean ``1/mu``."""

@@ -16,20 +16,32 @@ from repro.errors import SimulationError
 
 @dataclass
 class Request:
-    """One request's lifetime timestamps."""
+    """One request's lifetime timestamps (``None`` = not yet)."""
 
     request_id: int
     arrival_time: float
-    service_start_time: Optional[float] = None
-    departure_time: Optional[float] = None
+    service_start_time: Optional[float]
+    departure_time: Optional[float]
+
+    __slots__ = (
+        "request_id", "arrival_time", "service_start_time", "departure_time",
+    )
 
 
 class FIFORequestQueue:
     """FIFO queue with loss; holds requests not yet *completed*.
 
     ``occupancy`` counts waiting plus in-service requests (the model's
-    ``q_i`` convention where the in-service request is included).
+    ``q_i`` convention where the in-service request is included) and
+    ``waiting_count`` the requests queued but not in service. Both are
+    plain counters kept by the mutators: the simulator reads them on
+    every event.
     """
+
+    __slots__ = (
+        "capacity", "_waiting", "_in_service", "_next_id", "n_accepted",
+        "n_lost", "occupancy", "waiting_count",
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -40,36 +52,24 @@ class FIFORequestQueue:
         self._next_id = 0
         self.n_accepted = 0
         self.n_lost = 0
-
-    @property
-    def waiting_count(self) -> int:
-        """Requests queued but not in service."""
-        return len(self._waiting)
-
-    @property
-    def occupancy(self) -> int:
-        """Waiting plus in-service requests (the model's ``q_i``)."""
-        return len(self._waiting) + (1 if self._in_service is not None else 0)
+        self.occupancy = 0
+        self.waiting_count = 0
 
     @property
     def in_service(self) -> Optional[Request]:
         return self._in_service
 
-    def is_full(self) -> bool:
-        return self.occupancy >= self.capacity
-
-    def is_empty(self) -> bool:
-        return self.occupancy == 0
-
     def offer(self, arrival_time: float) -> Optional[Request]:
         """Admit an arrival, or drop it (returning ``None``) when full."""
-        if self.is_full():
+        if self.occupancy >= self.capacity:
             self.n_lost += 1
             return None
-        request = Request(request_id=self._next_id, arrival_time=arrival_time)
+        request = Request(self._next_id, arrival_time, None, None)
         self._next_id += 1
         self._waiting.append(request)
         self.n_accepted += 1
+        self.occupancy += 1
+        self.waiting_count += 1
         return request
 
     def start_service(self, time: float) -> Request:
@@ -79,6 +79,7 @@ class FIFORequestQueue:
         if not self._waiting:
             raise SimulationError("cannot start service on an empty queue")
         request = self._waiting.popleft()
+        self.waiting_count -= 1
         request.service_start_time = time
         self._in_service = request
         return request
@@ -90,6 +91,7 @@ class FIFORequestQueue:
         request = self._in_service
         request.departure_time = time
         self._in_service = None
+        self.occupancy -= 1
         return request
 
     def pending_requests(self) -> "list[Request]":
@@ -113,4 +115,5 @@ class FIFORequestQueue:
         request.departure_time = None
         self._in_service = None
         self._waiting.appendleft(request)
+        self.waiting_count += 1
         return request

@@ -26,9 +26,10 @@ Semantics (matching the CTMDP model; see :mod:`repro.sim.provider`):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.dpm.service_provider import ServiceProvider
 from repro.errors import SimulationError
@@ -51,6 +52,8 @@ TIMER = "timer"
 START = "start"
 
 BUSY_POWERDOWN_MODES = ("reject", "preempt")
+
+_INF = math.inf
 
 logger = get_logger(__name__)
 
@@ -163,26 +166,44 @@ class Simulator:
         # Observability is resolved once per run: the per-event cost of
         # the disabled default is a single ``is not None`` check.
         ins = obs_active()
-        self._metrics = ins.metrics
-        self._occ_hist = None
+        with ins.span(
+            "sim.simulate", policy=self.policy.name, n_requests=self.n_requests
+        ) as span:
+            result = self._run(ins.metrics)
+            if ins.tracer is not None:
+                span.attrs.update(
+                    n_generated=result.n_generated,
+                    pm_invocations=result.n_pm_invocations,
+                )
+        return result
+
+    def _run(self, metrics) -> SimulationResult:
+        self._metrics = metrics
+        self._occ_tally: "Optional[List[int]]" = None
         self._lat_hist = None
         event_counts: "Optional[Dict[str, int]]" = None
-        if self._metrics is not None:
-            self._occ_hist = self._metrics.histogram(
+        if metrics is not None:
+            occ_hist = metrics.histogram(
                 "sim.queue_occupancy", bounds=OCCUPANCY_BUCKETS
             )
-            self._lat_hist = self._metrics.histogram(
+            # Occupancies are integers in [0, Q]: tally them per run and
+            # fold the tally into the histogram once at the end.
+            self._occ_tally = [0] * (self.capacity + 1)
+            self._lat_hist = metrics.histogram(
                 "profile.sim.pm_decision_latency_s", profiling=True
             )
             event_counts = {}
             wall_start = time.perf_counter()
         self.streams = RandomStreams(self.seed)
+        self._service_rng = self.streams.stream("service")
+        self._switching_rng = self.streams.stream("switching")
         self.scheduler = EventScheduler()
         self.sp = SimulatedProvider(
             self.provider_description,
             self.initial_mode,
             service_distribution=self.service_distribution,
         )
+        self._is_active = self.provider_description.is_active
         self.queue = FIFORequestQueue(self.capacity)
         self.stats = StatsCollector()
         self.stats.set_mode(0.0, self.sp.mode)
@@ -190,8 +211,8 @@ class Simulator:
         if self.recorder is not None:
             self.recorder.record_mode(0.0, self.sp.mode)
             self.recorder.record_queue(0.0, 0)
-        if self._occ_hist is not None:
-            self._occ_hist.observe(0)
+        if self._occ_tally is not None:
+            self._occ_tally[0] += 1
         self.in_transfer = False
         self.version = 0
         self.n_generated = 0
@@ -201,35 +222,49 @@ class Simulator:
         self.policy.reset()
 
         self._schedule_next_arrival()
-        self._invoke_policy(START, arrival_lost=False)
+        self._invoke_policy(START, False)
         self._maybe_start_service()
 
+        scheduler, queue, sp, recorder = (
+            self.scheduler, self.queue, self.sp, self.recorder
+        )
         while True:
-            event = self.scheduler.pop()
+            event = scheduler.pop()
             if event is None:
                 break
-            if self.recorder is not None:
-                self.recorder.record_event(self.scheduler.now, event.kind)
+            kind = event.kind
+            if recorder is not None:
+                recorder.record_event(scheduler.now, kind)
             if event_counts is not None:
-                event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-            if event.kind == ARRIVAL:
+                event_counts[kind] = event_counts.get(kind, 0) + 1
+            if kind == ARRIVAL:
                 self._on_arrival()
-            elif event.kind == SERVICE_COMPLETE:
+            elif kind == SERVICE_COMPLETE:
                 self._on_service_complete()
-            elif event.kind == SWITCH_COMPLETE:
+            elif kind == SWITCH_COMPLETE:
                 self._on_switch_complete()
-            elif event.kind == TIMER:
-                self._on_timer(event.payload)
+            elif kind == TIMER:
+                if event.payload == self.version:
+                    self._on_timer()
+                # else stale: something changed since the policy asked
             else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event kind {event.kind!r}")
-            if self._drained():
+                raise SimulationError(f"unknown event kind {kind!r}")
+            # Drained: every generated request resolved and nothing in
+            # flight. A final switch (e.g. the power-down commanded after
+            # the last departure) may complete so its energy is counted.
+            if (
+                self.n_generated >= self.n_requests
+                and queue.occupancy == 0
+                and not sp.is_serving
+                and sp.switch_target is None
+            ):
                 break
 
-        end_time = self.scheduler.now
+        end_time = scheduler.now
         self.stats.finalize(end_time)
-        if self.recorder is not None:
-            for request in self.queue.pending_requests():
-                self.recorder.record_request(
+        if recorder is not None:
+            for request in queue.pending_requests():
+                recorder.record_request(
                     RequestRecord(
                         request_id=request.request_id,
                         arrival_time=request.arrival_time,
@@ -238,8 +273,9 @@ class Simulator:
                         lost=False,
                     )
                 )
-            self.recorder.finalize(end_time)
-        if self._metrics is not None:
+            recorder.finalize(end_time)
+        if metrics is not None:
+            occ_hist.observe_tally(self._occ_tally)
             self._publish_metrics(event_counts, time.perf_counter() - wall_start)
         return SimulationResult(
             policy_name=self.policy.name,
@@ -249,10 +285,10 @@ class Simulator:
             average_queue_length=self.stats.average_queue_length(),
             average_waiting_time=self.stats.average_waiting_time(),
             n_generated=self.n_generated,
-            n_accepted=self.queue.n_accepted,
-            n_lost=self.queue.n_lost,
+            n_accepted=queue.n_accepted,
+            n_lost=queue.n_lost,
             n_completed=self.stats.n_completed,
-            n_unserved=self.queue.occupancy,
+            n_unserved=queue.occupancy,
             n_switches=self.stats.n_switches,
             n_pm_invocations=self.stats.n_pm_invocations,
             n_pm_commands=self.stats.n_pm_commands,
@@ -298,20 +334,6 @@ class Simulator:
             self.n_generated, self.policy.name,
         )
 
-    def _drained(self) -> bool:
-        """All generated requests resolved and nothing left in flight.
-
-        A final in-flight switch (e.g. the power-down commanded after
-        the last departure) is allowed to complete so its energy is
-        counted.
-        """
-        return (
-            self.n_generated >= self.n_requests
-            and self.queue.is_empty()
-            and not self.sp.is_serving
-            and not self.sp.is_switching
-        )
-
     # -- event handlers ----------------------------------------------------------
 
     def _schedule_next_arrival(self) -> None:
@@ -326,14 +348,15 @@ class Simulator:
     def _on_arrival(self) -> None:
         now = self.scheduler.now
         self.n_generated += 1
-        request = self.queue.offer(now)
-        lost = request is None
+        queue = self.queue
+        lost = queue.offer(now) is None
         if not lost:
-            self.stats.set_queue_length(now, self.queue.occupancy)
+            occupancy = queue.occupancy
+            self.stats.set_queue_length(now, occupancy)
             if self.recorder is not None:
-                self.recorder.record_queue(now, self.queue.occupancy)
-            if self._occ_hist is not None:
-                self._occ_hist.observe(self.queue.occupancy)
+                self.recorder.record_queue(now, occupancy)
+            if self._occ_tally is not None:
+                self._occ_tally[occupancy] += 1
         elif self.recorder is not None:
             self.recorder.record_request(
                 RequestRecord(
@@ -345,20 +368,22 @@ class Simulator:
                 )
             )
         self._schedule_next_arrival()
-        self._invoke_policy(ARRIVAL, arrival_lost=lost)
+        self._invoke_policy(ARRIVAL, lost)
         self._maybe_start_service()
 
     def _on_service_complete(self) -> None:
         now = self.scheduler.now
         self._service_event = None
         self.sp.is_serving = False
-        request = self.queue.complete_service(now)
+        queue = self.queue
+        request = queue.complete_service(now)
         self.stats.record_departure(request.arrival_time, now)
-        self.stats.set_queue_length(now, self.queue.occupancy)
-        if self._occ_hist is not None:
-            self._occ_hist.observe(self.queue.occupancy)
+        occupancy = queue.occupancy
+        self.stats.set_queue_length(now, occupancy)
+        if self._occ_tally is not None:
+            self._occ_tally[occupancy] += 1
         if self.recorder is not None:
-            self.recorder.record_queue(now, self.queue.occupancy)
+            self.recorder.record_queue(now, occupancy)
             self.recorder.record_request(
                 RequestRecord(
                     request_id=request.request_id,
@@ -369,8 +394,7 @@ class Simulator:
                 )
             )
         self.in_transfer = True
-        decision_command = self._invoke_policy(SERVICE_COMPLETE, arrival_lost=False)
-        if decision_command is None:
+        if self._invoke_policy(SERVICE_COMPLETE, False) is None:
             # No command at a transfer point means "stay" (the paper's
             # instantaneous self-switch).
             self.in_transfer = False
@@ -379,81 +403,80 @@ class Simulator:
     def _on_switch_complete(self) -> None:
         now = self.scheduler.now
         self._switch_event = None
-        energy = self.sp.finish_switch()
-        self.stats.set_mode(now, self.sp.mode)
-        self.stats.set_power(now, self.sp.power_now())
+        sp = self.sp
+        energy = sp.finish_switch()
+        self.stats.set_mode(now, sp.mode)
+        self.stats.set_power(now, sp.power_now())
         self.stats.add_switch_energy(energy)
         if self.recorder is not None:
-            self.recorder.record_mode(now, self.sp.mode)
+            self.recorder.record_mode(now, sp.mode)
             self.recorder.record_switch_energy(now, energy)
         self.in_transfer = False
-        if self.sp.is_serving:
+        if sp.is_serving:
             # Active-to-active change mid-service: re-draw the remaining
             # service time at the new rate (exact by memorylessness).
             assert self._service_event is not None
             self._service_event.cancel()
-            delay = self.sp.draw_service_time(self.streams.stream("service"))
+            delay = sp.draw_service_time(self._service_rng)
             self._service_event = self.scheduler.schedule_after(delay, SERVICE_COMPLETE)
-        self._invoke_policy(SWITCH_COMPLETE, arrival_lost=False)
+        self._invoke_policy(SWITCH_COMPLETE, False)
         self._maybe_start_service()
 
-    def _on_timer(self, payload) -> None:
-        scheduled_version = payload
-        if scheduled_version != self.version:
-            return  # stale: something changed since the policy asked
-        self._invoke_policy(TIMER, arrival_lost=False)
+    def _on_timer(self) -> None:
+        self._invoke_policy(TIMER, False)
         self._maybe_start_service()
 
     # -- policy plumbing --------------------------------------------------------
 
-    def _view(self, event: str, arrival_lost: bool) -> SystemView:
-        return SystemView(
-            time=self.scheduler.now,
-            event=event,
-            mode=self.sp.mode,
-            switch_target=self.sp.switch_target,
-            in_transfer=self.in_transfer,
-            occupancy=self.queue.occupancy,
-            waiting_count=self.queue.waiting_count,
-            is_serving=self.sp.is_serving,
-            capacity=self.capacity,
-            arrival_lost=arrival_lost,
-            provider=self.provider_description,
-        )
-
     def _invoke_policy(self, event: str, arrival_lost: bool) -> Optional[str]:
         """Call the PM; apply its decision. Returns the command issued."""
         self.version += 1
-        if self._lat_hist is not None:
-            decide_start = time.perf_counter()
-            decision = self.policy.decide(self._view(event, arrival_lost))
-            self._lat_hist.observe(time.perf_counter() - decide_start)
+        sp, queue = self.sp, self.queue
+        # A fresh view per invocation, filled positionally (the field
+        # order of SystemView); the simulator never reads it back.
+        view = SystemView(
+            self.scheduler.now,
+            event,
+            sp.mode,
+            sp.switch_target,
+            self.in_transfer,
+            queue.occupancy,
+            queue.waiting_count,
+            sp.is_serving,
+            self.capacity,
+            arrival_lost,
+            self.provider_description,
+        )
+        if self._lat_hist is None:
+            decision = self.policy.decide(view)
         else:
-            decision = self.policy.decide(self._view(event, arrival_lost))
+            decide_start = time.perf_counter()
+            decision = self.policy.decide(view)
+            self._lat_hist.observe(time.perf_counter() - decide_start)
         if not isinstance(decision, Decision):
             raise SimulationError(
                 f"policy {self.policy.name} returned {type(decision).__name__}, "
                 "expected Decision"
             )
-        issued = None
-        if decision.command is not None:
-            if self._apply_command(decision.command):
-                issued = decision.command
-        self.stats.record_pm_invocation(issued is not None)
-        if decision.recheck_after is not None:
-            if decision.recheck_after < 0:
+        command = decision.command
+        issued = command is not None and self._apply_command(command)
+        self.stats.record_pm_invocation(issued)
+        recheck = decision.recheck_after
+        if recheck is not None:
+            # Written so NaN fails too: a NaN timer would never fire.
+            if not 0.0 <= recheck < _INF:
                 raise SimulationError(
-                    f"recheck_after must be >= 0, got {decision.recheck_after:g}"
+                    f"recheck_after must be finite and >= 0, got {recheck!r}"
                 )
-            self.scheduler.schedule_after(decision.recheck_after, TIMER, self.version)
-        return issued
+            self.scheduler.schedule_after(recheck, TIMER, self.version)
+        return command if issued else None
 
     def _apply_command(self, target: str) -> bool:
         """Retarget the SP toward *target*; returns True if it changed
         anything."""
-        self.provider_description.index_of(target)  # validates the name
+        target_active = self._is_active(target)  # validates the name
         sp = self.sp
-        if sp.is_switching:
+        if sp.switch_target is not None:
             if target == sp.switch_target:
                 return False  # already heading there; keep the draw
             assert self._switch_event is not None
@@ -464,15 +487,12 @@ class Simulator:
             # "Stay": also resolves a transfer instantly.
             self.in_transfer = False
             return True
-        if (
-            sp.is_serving
-            and not self.provider_description.is_active(target)
-        ):
+        if sp.is_serving and not target_active:
             if self.busy_powerdown == "reject":
                 return False  # the device refuses to power down mid-service
             self._preempt_service()
         sp.begin_switch(target)
-        delay = sp.draw_switch_time(target, self.streams.stream("switching"))
+        delay = sp.draw_switch_time(target, self._switching_rng)
         self._switch_event = self.scheduler.schedule_after(delay, SWITCH_COMPLETE)
         return True
 
@@ -485,21 +505,17 @@ class Simulator:
         self.queue.requeue_in_service()
 
     def _maybe_start_service(self) -> None:
-        heading_down = (
-            self.sp.switch_target is not None
-            and not self.provider_description.is_active(self.sp.switch_target)
-        )
-        if (
-            self.in_transfer
-            or self.sp.is_serving
-            or not self.sp.is_active
-            or heading_down
-            or self.queue.waiting_count == 0
-        ):
+        sp = self.sp
+        if self.in_transfer or sp.is_serving or self.queue.waiting_count == 0:
+            return
+        target = sp.switch_target
+        if target is not None and not self._is_active(target):
+            return  # heading down
+        if not self._is_active(sp.mode):
             return
         self.queue.start_service(self.scheduler.now)
-        self.sp.is_serving = True
-        delay = self.sp.draw_service_time(self.streams.stream("service"))
+        sp.is_serving = True
+        delay = sp.draw_service_time(self._service_rng)
         self._service_event = self.scheduler.schedule_after(delay, SERVICE_COMPLETE)
 
 

@@ -43,18 +43,18 @@ class StatsCollector:
         self._finalized_at: float = start_time
 
     def _advance(self, time: float) -> None:
-        if time < self._last_time - 1e-12:
-            raise SimulationError(
-                f"stats time went backwards: {time:g} < {self._last_time:g}"
-            )
-        dt = max(0.0, time - self._last_time)
+        dt = time - self._last_time
         if dt > 0:
             self.energy += self._power_now * dt
             self.queue_time_integral += self._queue_now * dt
-            if self._mode_now:
-                self.mode_residency[self._mode_now] = (
-                    self.mode_residency.get(self._mode_now, 0.0) + dt
-                )
+            mode = self._mode_now
+            if mode:
+                residency = self.mode_residency
+                residency[mode] = residency.get(mode, 0.0) + dt
+        elif time < self._last_time - 1e-12:
+            raise SimulationError(
+                f"stats time went backwards: {time:g} < {self._last_time:g}"
+            )
         self._last_time = time
 
     def set_power(self, time: float, watts: float) -> None:

@@ -228,3 +228,61 @@ class TestMergeIdentity:
         # Histogram sums cross the boundary as a single float (already
         # exact), so the serialized path agrees with serial exactly.
         assert parent_json == serial
+
+
+
+class TestObserveTally:
+    """A per-run integer tally folds in exactly like per-event observes."""
+
+    BOUNDS = tuple(float(i) for i in range(65))
+
+    @staticmethod
+    def _export(reg: MetricsRegistry) -> str:
+        return json.dumps(reg.to_dict(), sort_keys=True)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        rng = random.Random(2024)
+        # Occupancy-like streams, some past the last finite bucket.
+        return [
+            [rng.choice([0, 0, 1, 2, 3, 5, 64, 70]) for _ in range(rng.randint(1, 300))]
+            for _ in range(6)
+        ]
+
+    def _per_event(self, reg: MetricsRegistry, run) -> None:
+        hist = reg.histogram("occ", bounds=self.BOUNDS)
+        for value in run:
+            hist.observe(value)
+
+    def _tallied(self, reg: MetricsRegistry, run) -> None:
+        tally = [0] * (max(run) + 1)
+        for value in run:
+            tally[value] += 1
+        reg.histogram("occ", bounds=self.BOUNDS).observe_tally(tally)
+
+    def test_export_identical_to_per_event(self, runs):
+        for run in runs:
+            a, b = MetricsRegistry(), MetricsRegistry()
+            self._per_event(a, run)
+            self._tallied(b, run)
+            assert self._export(a) == self._export(b)
+
+    def test_empty_tally_observes_nothing(self):
+        hist = Histogram("occ", bounds=self.BOUNDS)
+        hist.observe_tally([0, 0, 0])
+        assert hist.count == 0 and hist.min == float("inf")
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    def test_merged_tallies_equal_serial_per_event(self, runs, n_chunks):
+        serial = MetricsRegistry()
+        for run in runs:
+            self._per_event(serial, run)
+        parent = MetricsRegistry()
+        size = -(-len(runs) // n_chunks)
+        for start in range(0, len(runs), size):
+            worker = MetricsRegistry()
+            for run in runs[start:start + size]:
+                self._tallied(worker, run)
+            # Round-trip through JSON exactly as the process pool does.
+            parent.merge_dict(json.loads(json.dumps(worker.to_dict())))
+        assert self._export(parent) == self._export(serial)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -14,7 +15,12 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import DISABLED, active, instrument
+from repro.obs.runtime import (
+    DISABLED,
+    active,
+    instrument,
+    run_in_thread_context,
+)
 from repro.obs.trace import Tracer
 
 
@@ -53,6 +59,24 @@ class TestRuntime:
         with pytest.raises(RuntimeError):
             with instrument(metrics=MetricsRegistry()):
                 raise RuntimeError()
+        assert active() is DISABLED
+
+    def test_thread_sees_activation_only_when_started_in_context(self):
+        seen = {}
+
+        def probe(label):
+            seen[label] = active()
+
+        with instrument(metrics=MetricsRegistry()) as ins:
+            plain = threading.Thread(target=probe, args=("plain",))
+            bound = threading.Thread(
+                target=run_in_thread_context(probe), args=("bound",)
+            )
+            for thread in (plain, bound):
+                thread.start()
+                thread.join()
+        assert seen["plain"] is DISABLED
+        assert seen["bound"] is ins
         assert active() is DISABLED
 
     def test_tracer_span_via_instrumentation(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.errors import InvalidPolicyError
@@ -14,6 +17,7 @@ from repro.policies import (
     TimeoutPolicy,
 )
 from repro.policies.oracle import break_even_time
+from repro.sim import simulate
 from repro.sim.workload import TraceArrivals
 from tests.policies.test_helpers_and_base import make_view
 
@@ -194,6 +198,40 @@ class TestOracleIdlePolicy:
         assert decision.command is None
         # Pre-wake fires one mean wake latency (1.1 s) before t = 100.
         assert decision.recheck_after == pytest.approx(100.0 - 1.0 - 1.1)
+
+    def test_prewake_timer_wakes_despite_rounding(self, paper_provider):
+        # The pre-wake timer fires where idle - latency is a rounding
+        # residue (1.3e-15 at t = 18.08, below one ulp of the clock): the
+        # policy must wake, not re-request a timer at the same instant.
+        wake = paper_provider.switching_time("sleeping", "active")
+        now = 18.078346750391443
+        trace = TraceArrivals([now + wake + 1.3322676295501878e-15])
+        policy = OracleIdlePolicy(trace, paper_provider)
+        fired = dataclasses.replace(
+            make_view(paper_provider, mode="sleeping", occupancy=0),
+            time=now, event="timer",
+        )
+        assert policy.decide(fired).command == "active"
+
+    def test_simulated_trace_terminates(self, paper_model):
+        rng = np.random.default_rng(7)
+        times = np.cumsum(rng.exponential(1.0 / paper_model.requestor.rate, 300))
+        trace = TraceArrivals(times)
+        policy = OracleIdlePolicy(trace, paper_model.provider)
+        calls = []
+        inner = policy.decide
+
+        def bounded(view):
+            calls.append(view.event)
+            assert len(calls) < 50 * len(times), "PM livelock"
+            return inner(view)
+
+        policy.decide = bounded
+        result = simulate(
+            paper_model.provider, paper_model.capacity, trace, policy,
+            n_requests=len(times), seed=1,
+        )
+        assert result.n_completed + result.n_lost == len(times)
 
     def test_is_clairvoyant(self, paper_provider):
         policy = OracleIdlePolicy(TraceArrivals([1.0]), paper_provider)

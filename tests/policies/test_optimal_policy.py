@@ -14,24 +14,24 @@ from repro.policies.optimal import (
     AdaptiveCTMDPPolicy,
     OptimalCTMDPPolicy,
     StochasticCTMDPPolicy,
-    view_to_system_state,
+    view_key,
 )
 from tests.policies.test_helpers_and_base import make_view
 
 
-class TestViewToSystemState:
+class TestViewKey:
     def test_stable_mapping(self, paper_provider):
         view = make_view(paper_provider, mode="sleeping", occupancy=3)
-        assert view_to_system_state(view, 5) == SystemState("sleeping", stable(3))
+        assert view_key(view, 5) == SystemState("sleeping", stable(3)).key
 
     def test_transfer_mapping_uses_waiting_plus_one(self, paper_provider):
         view = make_view(paper_provider, mode="active", in_transfer=True, occupancy=2)
         # waiting_count = occupancy - 1 = 1 in the fixture helper.
-        assert view_to_system_state(view, 5) == SystemState("active", transfer(2))
+        assert view_key(view, 5) == SystemState("active", transfer(2)).key
 
     def test_transfer_boundary_clamped(self, paper_provider):
         view = make_view(paper_provider, mode="active", in_transfer=True, occupancy=6)
-        state = view_to_system_state(view, 5)
+        state = SystemState.from_key(view_key(view, 5))
         assert state.queue == transfer(5)
 
 

@@ -222,6 +222,20 @@ class TestSupervisorResolve:
         assert report.failure == "timeout"
         assert ins.metrics.to_dict()["serve.resolve.timeouts"]["value"] == 2
 
+    def test_watchdog_thread_reports_to_callers_registry(self, model, tmp_path):
+        from repro.obs.runtime import active
+
+        def counted(rate, seed=None):
+            active().metrics.counter("test.solves").inc()
+            return solve_rated(model, rate, 0.5)
+
+        with instrument(metrics=MetricsRegistry()) as ins:
+            sup = make_supervisor(
+                model, tmp_path, solve=counted, attempt_timeout=30.0
+            )
+            assert sup.resolve(1 / 6).ok
+        assert ins.metrics.to_dict()["test.solves"]["value"] == 1
+
     def test_rejected_result_not_retried(self, model, tmp_path):
         calls = []
 

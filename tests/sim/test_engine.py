@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -55,6 +57,15 @@ class TestEventScheduler:
             sched.schedule_at(4.0, "late")
         with pytest.raises(SimulationError):
             sched.schedule_after(-1.0, "negative")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        sched = EventScheduler()
+        with pytest.raises(SimulationError, match="finite"):
+            sched.schedule_at(bad, "x")
+        with pytest.raises(SimulationError):
+            sched.schedule_after(bad, "x")
+        assert len(sched) == 0
 
     def test_peek_time_skips_cancelled(self):
         sched = EventScheduler()

@@ -13,7 +13,7 @@ from repro.sim.queue_sim import FIFORequestQueue
 class TestFIFORequestQueue:
     def test_offer_and_counts(self):
         q = FIFORequestQueue(capacity=2)
-        assert q.is_empty()
+        assert q.occupancy == 0
         r1 = q.offer(1.0)
         assert r1 is not None and r1.arrival_time == 1.0
         assert q.occupancy == 1 and q.waiting_count == 1
@@ -32,9 +32,9 @@ class TestFIFORequestQueue:
         q.start_service(0.5)
         assert q.waiting_count == 0
         assert q.occupancy == 1
-        assert q.is_full() is False
-        q.offer(1.0)
-        assert q.is_full()
+        assert q.offer(1.0) is not None
+        assert q.occupancy == q.capacity
+        assert q.offer(2.0) is None
 
     def test_fifo_order(self):
         q = FIFORequestQueue(capacity=5)
@@ -50,7 +50,7 @@ class TestFIFORequestQueue:
         done = q.complete_service(3.0)
         assert done.service_start_time == 1.0
         assert done.departure_time == 3.0
-        assert q.is_empty()
+        assert q.occupancy == 0 and q.in_service is None
 
     def test_requeue_in_service_preserves_head(self):
         q = FIFORequestQueue(capacity=3)
@@ -80,24 +80,24 @@ class TestSimulatedProvider:
     def test_initial_state(self, paper_provider):
         sp = SimulatedProvider(paper_provider, "sleeping")
         assert sp.mode == "sleeping"
-        assert not sp.is_switching
-        assert not sp.is_active
+        assert sp.switch_target is None
+        assert not paper_provider.is_active(sp.mode)
         assert sp.power_now() == pytest.approx(0.1)
 
     def test_switch_lifecycle(self, paper_provider):
         sp = SimulatedProvider(paper_provider, "sleeping")
         sp.begin_switch("active")
-        assert sp.is_switching and sp.switch_target == "active"
+        assert sp.switch_target == "active"
         assert sp.mode == "sleeping"  # stays until completion
         energy = sp.finish_switch()
         assert energy == pytest.approx(11.0)
-        assert sp.mode == "active" and not sp.is_switching
+        assert sp.mode == "active" and sp.switch_target is None
 
     def test_cancel_switch(self, paper_provider):
         sp = SimulatedProvider(paper_provider, "active")
         sp.begin_switch("sleeping")
         sp.cancel_switch()
-        assert not sp.is_switching
+        assert sp.switch_target is None
         assert sp.mode == "active"
 
     def test_self_switch_rejected(self, paper_provider):

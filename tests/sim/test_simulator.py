@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,23 @@ class TestPolicyPlumbing:
                 provider, 5, PoissonProcess(LAM), BadPolicy(), n_requests=10, seed=0
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_recheck_rejected(self, provider, bad):
+        # A NaN timer used to be scheduled and never fire: a timeout
+        # policy then silently ran always-on.
+        class BrokenTimeout(TimeoutPolicy):
+            def decide(self, view):
+                decision = super().decide(view)
+                if decision.recheck_after is None:
+                    return decision
+                return Decision(decision.command, recheck_after=bad)
+
+        with pytest.raises(SimulationError, match="recheck_after"):
+            simulate(
+                provider, 5, PoissonProcess(LAM), BrokenTimeout(1.0, provider),
+                n_requests=500, seed=1,
+            )
+
 
 class TestDrainSemantics:
     def test_never_wake_leaves_unserved(self, provider):
@@ -271,3 +290,36 @@ class TestHeuristicOrdering:
             )
             powers.append(r.average_power)
         assert powers == sorted(powers, reverse=True)
+
+
+class TestSimulateSpan:
+    def test_one_span_per_run(self, provider):
+        from repro.obs.runtime import instrument
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        with instrument(tracer=tracer):
+            result = simulate(
+                provider, 5, PoissonProcess(LAM), GreedyPolicy(provider),
+                n_requests=200, seed=2,
+            )
+        spans = [r for r in tracer.records if r.name == "sim.simulate"]
+        assert len(spans) == 1
+        assert spans[0].duration is not None and spans[0].duration > 0
+        assert spans[0].attrs["policy"] == "GreedyPolicy"
+        assert spans[0].attrs["pm_invocations"] == result.n_pm_invocations
+
+    def test_tracing_does_not_perturb_the_run(self, provider):
+        from repro.obs.runtime import instrument
+        from repro.obs.trace import Tracer
+
+        def run():
+            return simulate(
+                provider, 5, PoissonProcess(LAM), GreedyPolicy(provider),
+                n_requests=300, seed=5,
+            )
+
+        plain = run()
+        with instrument(tracer=Tracer()):
+            traced = run()
+        assert traced == plain

@@ -426,6 +426,19 @@ class TestProfileFlagAndCommand:
         assert top_self_phase(profile)["self_s"] >= 0.0
         assert f"profile written to {path}" in capsys.readouterr().out
 
+    def test_simulate_profile_covers_command_wall_time(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "profile.json"
+        argv = ["simulate", "--requests", "300", "--profile-out", str(path)]
+        assert main(argv) == 0
+        doc = json.loads(path.read_text())
+        command_s = doc["manifest"]["command_s"]
+        profile = doc["profile"]
+        assert "sim.simulate" in [node["name"] for node in profile["tree"]]
+        # The span tree sits inside the command it profiles.
+        assert 0.0 < profile["total_s"] <= command_s
+
     def test_profile_command_renders(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
         assert main(["solve", "--profile-out", str(path)]) == 0
